@@ -279,6 +279,16 @@ EOF
   MICTREND_BENCH_JSON="$out" \
     build/bench/bench_serve > build/bench/BENCH_serve.out
   scripts/bench_compare.sh bench/baselines/BENCH_serve.json "$out"
+  # A reply held by Nagle's algorithm until the client's delayed ACK
+  # takes ~40 ms; a healthy daemon answers this load in well under a
+  # millisecond at the median, so 10 ms separates the two on any host.
+  python3 - "$out" << 'EOF'
+import json, sys
+serve = json.load(open(sys.argv[1]))["sections"]["serve"]
+assert serve["p50_seconds"] < 0.010, (
+    f"serve p50 is {serve['p50_seconds'] * 1000:.1f} ms (>= 10 ms): replies "
+    "are stalling on delayed ACKs")
+EOF
 
   # A compact daemon round under ThreadSanitizer when the instrumented
   # binary is already built (the tsan preset's ctest run covers the

@@ -39,35 +39,15 @@ Result<bool> WaitReadable(int fd, const WireLimits& limits,
 
 }  // namespace
 
-Result<bool> LooksLikeHttp(int fd, const WireLimits& limits,
-                           const std::atomic<bool>* stop) {
-  char head[4];
-  for (;;) {
-    MIC_ASSIGN_OR_RETURN(const bool readable,
-                         WaitReadable(fd, limits, stop));
-    if (!readable) continue;
-    const ssize_t n = ::recv(fd, head, sizeof(head), MSG_PEEK);
-    if (n == 0) return Status::NotFound("connection closed");
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
-        continue;
-      }
-      return Status::IoError(std::string("recv failed: ") +
-                             std::strerror(errno));
-    }
-    if (static_cast<std::size_t>(n) < sizeof(head)) {
-      // Fewer than four bytes buffered so far; peek again once more
-      // arrive (both a frame prefix and a request line are longer).
-      continue;
-    }
-    return std::memcmp(head, "GET ", 4) == 0 ||
-           std::memcmp(head, "HEAD", 4) == 0;
-  }
+bool IsHttpPrefix(const FramePrefix& prefix) {
+  const std::string_view head(prefix.data(), prefix.size());
+  return head == "GET " || head == "HEAD";
 }
 
-Result<HttpRequest> ReadHttpRequest(int fd, const WireLimits& limits,
+Result<HttpRequest> ReadHttpRequest(int fd, const FramePrefix& prefix,
+                                    const WireLimits& limits,
                                     const std::atomic<bool>* stop) {
-  std::string head;
+  std::string head(prefix.data(), prefix.size());
   while (head.find("\r\n\r\n") == std::string::npos) {
     if (head.size() >= kMaxHeadBytes) {
       return Status::FailedPrecondition(
@@ -133,21 +113,6 @@ std::string BuildHttpResponse(int status, std::string_view reason,
       static_cast<unsigned long long>(body.size()));
   if (!head_only) response += body;
   return response;
-}
-
-Status SendAll(int fd, std::string_view bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("send failed: ") +
-                             std::strerror(errno));
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return Status::OK();
 }
 
 }  // namespace mic::serve

@@ -2,13 +2,13 @@
 // exposition surface (/metrics, /healthz, /varz) and the first step
 // toward the ROADMAP HTTP gateway.
 //
-// The daemon multiplexes HTTP onto the framed-JSON port by *peeking*
-// (MSG_PEEK) the first four bytes of a fresh connection: "GET " or
-// "HEAD" is an HTTP request line; anything else is a frame length
-// prefix and the bytes are left unconsumed for ReadFrame. The peek is
-// what makes the branch safe — "GET " read as a big-endian length
-// would be ~1.2 GB and trip frame_too_large, so the decision has to
-// happen before frame parsing.
+// The daemon multiplexes HTTP onto the framed-JSON port by reading the
+// first four bytes of a fresh connection as a frame prefix
+// (ReadFramePrefix) and branching on them: "GET " or "HEAD" starts an
+// HTTP request line and goes to ReadHttpRequest with those bytes;
+// anything else is a frame length. The branch has to come before the
+// length check — "GET " read as a big-endian length would be ~1.2 GB
+// and trip frame_too_large.
 //
 // Scope is deliberately tiny: GET/HEAD only, request head bounded at
 // 8 KiB, response always carries Content-Length and Connection: close
@@ -38,16 +38,15 @@ struct HttpRequest {
   std::uint64_t bytes = 0;
 };
 
-/// Peeks (without consuming) the first four bytes of `fd`: true when
-/// they spell an HTTP GET/HEAD request line. Respects the poll cadence
-/// and `stop` like ReadFrame; NotFound on clean EOF before four bytes.
-Result<bool> LooksLikeHttp(int fd, const WireLimits& limits,
-                           const std::atomic<bool>* stop);
+/// True when a connection's first four bytes spell the start of an HTTP
+/// GET/HEAD request line rather than a frame length.
+bool IsHttpPrefix(const FramePrefix& prefix);
 
-/// Reads one request head (through the CRLFCRLF terminator, capped at
-/// 8 KiB) and parses the request line. FailedPrecondition on an
-/// oversized or malformed head.
-Result<HttpRequest> ReadHttpRequest(int fd, const WireLimits& limits,
+/// Reads the rest of one request head that began with `prefix` (through
+/// the CRLFCRLF terminator, capped at 8 KiB) and parses the request
+/// line. FailedPrecondition on an oversized or malformed head.
+Result<HttpRequest> ReadHttpRequest(int fd, const FramePrefix& prefix,
+                                    const WireLimits& limits,
                                     const std::atomic<bool>* stop);
 
 /// Serializes a full response. `head_only` (HEAD requests) keeps the
@@ -56,10 +55,6 @@ std::string BuildHttpResponse(int status, std::string_view reason,
                               std::string_view content_type,
                               std::string_view body,
                               bool head_only = false);
-
-/// Blocking best-effort write of the whole buffer (SIGPIPE
-/// suppressed).
-Status SendAll(int fd, std::string_view bytes);
 
 }  // namespace mic::serve
 

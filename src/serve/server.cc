@@ -140,8 +140,6 @@ Result<std::unique_ptr<TcpServer>> TcpServer::Start(
   obs::MetricsRegistry* metrics = service->metrics();
   server->overload_rejections_ =
       obs::GetCounter(metrics, "serve.overload_rejections");
-  server->rejected_overloaded_ =
-      obs::GetCounter(metrics, "serve.rejected.overloaded");
   server->swap_stalls_ = obs::GetCounter(metrics, "serve.swap.stalls");
   server->queue_depth_ = obs::GetGauge(metrics, "serve.queue_depth");
   server->trace_dropped_ = obs::GetGauge(metrics, "obs.trace.dropped");
@@ -205,6 +203,13 @@ Status TcpServer::Serve(const std::atomic<bool>* external_stop) {
       return Status::IoError(std::string("accept failed: ") +
                              std::strerror(errno));
     }
+    // Framed or HTTP, every reply is one send, but a reply longer than
+    // one segment still ends in a short one, which Nagle's algorithm
+    // holds until the client ACKs the rest.
+    if (Status nodelay = SetNoDelay(fd); !nodelay.ok()) {
+      MIC_LOG(Warning) << "serving a connection without TCP_NODELAY: "
+                       << nodelay;
+    }
     bool rejected = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -216,10 +221,6 @@ Status TcpServer::Serve(const std::atomic<bool>* external_stop) {
       }
     }
     if (rejected) {
-      // Two spellings of the same event: serve.rejected.overloaded is
-      // the pre-existing name, serve.overload_rejections the SLO-facing
-      // one the scrape recipes key on.
-      obs::Increment(rejected_overloaded_);
       obs::Increment(overload_rejections_);
       TryWriteFrame(fd,
                     TransportError("overloaded",
@@ -269,20 +270,20 @@ void TcpServer::WorkerMain() {
 }
 
 void TcpServer::ServeConnection(int fd, const SnapshotReader& reader) {
-  {
-    // Peek before any frame read: an HTTP request line parsed as a
-    // big-endian frame length would be ~1.2 GB and trip
-    // frame_too_large, so the transport decision has to come first.
-    Result<bool> is_http = LooksLikeHttp(fd, options_.limits, &stop_);
-    if (!is_http.ok()) return;  // clean EOF before four bytes, or stop
-    if (*is_http) {
-      ServeHttp(fd);
+  obs::TraceLog* trace = service_->trace();
+  for (bool first = true;; first = false) {
+    Result<FramePrefix> prefix =
+        ReadFramePrefix(fd, options_.limits, &stop_);
+    if (!prefix.ok()) return;  // clean EOF, stop, timeout, torn prefix
+    // A connection's first four bytes pick its transport, before the
+    // length check: an HTTP request line read as a big-endian frame
+    // length would be ~1.2 GB and trip frame_too_large.
+    if (first && IsHttpPrefix(*prefix)) {
+      ServeHttp(fd, *prefix);
       return;
     }
-  }
-  obs::TraceLog* trace = service_->trace();
-  for (;;) {
-    Result<std::string> payload = ReadFrame(fd, options_.limits, &stop_);
+    Result<std::string> payload =
+        ReadFramePayload(fd, *prefix, options_.limits, &stop_);
     if (!payload.ok()) {
       const Status status = payload.status();
       if (status.code() == StatusCode::kFailedPrecondition &&
@@ -351,10 +352,10 @@ void TcpServer::ServeConnection(int fd, const SnapshotReader& reader) {
   }
 }
 
-void TcpServer::ServeHttp(int fd) {
+void TcpServer::ServeHttp(int fd, const FramePrefix& prefix) {
   const auto start = std::chrono::steady_clock::now();
   Result<HttpRequest> request =
-      ReadHttpRequest(fd, options_.limits, &stop_);
+      ReadHttpRequest(fd, prefix, options_.limits, &stop_);
   if (!request.ok()) {
     (void)SendAll(fd, BuildHttpResponse(400, "Bad Request", "text/plain",
                                         "bad request\n"));

@@ -5,7 +5,8 @@
 // Threading model, sized for a small daemon rather than a C10K server:
 //   - the accept loop runs on the thread that calls Serve(), polling
 //     the listen socket so it observes stop conditions within one poll
-//     interval;
+//     interval, and sets TCP_NODELAY on every accepted socket (see
+//     serve/wire.h for why);
 //   - a fixed pool of worker threads each own one registered
 //     SnapshotReader (their hazard slot) and handle one connection at a
 //     time, request by request. The per-request path — read frame,
@@ -29,9 +30,9 @@
 //     trace, and metrics. Requests slower than
 //     slow_request_threshold_ms get their span tree force-retained in
 //     the trace ring (tail-based sampling, TraceLog::RetainSince).
-//   - plain HTTP GET/HEAD on the same port (detected by peeking the
-//     first bytes) serves /metrics (OpenMetrics), /healthz, and /varz
-//     (the windowed-stats JSON) — see serve/http.h.
+//   - plain HTTP GET/HEAD on the same port (detected from a
+//     connection's first four bytes) serves /metrics (OpenMetrics),
+//     /healthz, and /varz (the windowed-stats JSON) — see serve/http.h.
 //   - a watchdog thread samples queue depth and trace-ring drop/retain
 //     gauges each poll interval, feeds the drop delta into the
 //     "obs.trace.dropped" window channel, and counts a
@@ -121,9 +122,10 @@ class TcpServer {
   /// failures answer with an error envelope where a reply is still
   /// possible.
   void ServeConnection(int fd, const SnapshotReader& reader);
-  /// Answers one HTTP GET/HEAD (/metrics, /healthz, /varz) and returns;
-  /// HTTP connections are one-shot.
-  void ServeHttp(int fd);
+  /// Answers one HTTP GET/HEAD (/metrics, /healthz, /varz) whose
+  /// request line began with `prefix`, and returns; HTTP connections
+  /// are one-shot.
+  void ServeHttp(int fd, const FramePrefix& prefix);
   /// The self-watching loop: queue depth, trace-drop rate, swap-stall
   /// detection. Runs until stop, sampling each poll interval.
   void WatchMain();
@@ -145,7 +147,6 @@ class TcpServer {
 
   /// Pre-resolved telemetry handles (null without a registry).
   obs::Counter* overload_rejections_ = nullptr;
-  obs::Counter* rejected_overloaded_ = nullptr;
   obs::Counter* swap_stalls_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;
   obs::Gauge* trace_dropped_ = nullptr;

@@ -5,8 +5,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -238,23 +240,6 @@ void AppendNumber(std::string& out, bool is_int, std::int64_t int_value,
 
 // ------------------------------------------------------------- fd helpers
 
-Status WriteAll(int fd, const void* data, std::size_t size) {
-  const char* cursor = static_cast<const char*>(data);
-  std::size_t remaining = size;
-  while (remaining > 0) {
-    const ssize_t written = ::write(fd, cursor, remaining);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("write failed: ") +
-                             std::strerror(errno));
-    }
-    if (written == 0) return Status::IoError("write returned 0");
-    cursor += written;
-    remaining -= static_cast<std::size_t>(written);
-  }
-  return Status::OK();
-}
-
 /// Reads exactly `size` bytes, polling so `stop` and the deadline are
 /// observed. `saw_any` reports whether at least one byte arrived (to
 /// distinguish clean EOF from a torn frame).
@@ -471,6 +456,56 @@ Result<JsonValue> JsonValue::Parse(std::string_view text) {
 
 // ----------------------------------------------------------------- framing
 
+Status SendAll(int fd, std::string_view head, std::string_view body) {
+  struct iovec parts[2];
+  parts[0].iov_base = const_cast<char*>(head.data());
+  parts[0].iov_len = head.size();
+  parts[1].iov_base = const_cast<char*>(body.data());
+  parts[1].iov_len = body.size();
+  struct iovec* next = parts;
+  std::size_t count = 2;
+  for (;;) {
+    while (count > 0 && next->iov_len == 0) {
+      ++next;
+      --count;
+    }
+    if (count == 0) return Status::OK();
+    struct msghdr message;
+    std::memset(&message, 0, sizeof(message));
+    message.msg_iov = next;
+    message.msg_iovlen = count;
+    const ssize_t sent = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+    if (sent < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(std::string("send failed: ") +
+                             std::strerror(errno));
+    }
+    if (sent == 0) return Status::IoError("send returned 0");
+    // Drop the bytes the kernel took; a partial send leaves `next`
+    // pointing into the middle of a part.
+    std::size_t taken = static_cast<std::size_t>(sent);
+    while (taken > 0) {
+      const std::size_t step = std::min(taken, next->iov_len);
+      next->iov_base = static_cast<char*>(next->iov_base) + step;
+      next->iov_len -= step;
+      taken -= step;
+      if (next->iov_len == 0) {
+        ++next;
+        --count;
+      }
+    }
+  }
+}
+
+Status SetNoDelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    return Status::IoError(std::string("setting TCP_NODELAY failed: ") +
+                           std::strerror(errno));
+  }
+  return Status::OK();
+}
+
 Status WriteFrame(int fd, std::string_view payload,
                   std::size_t max_frame_bytes) {
   if (payload.size() > max_frame_bytes) {
@@ -479,35 +514,35 @@ Status WriteFrame(int fd, std::string_view payload,
         " bytes exceeds the " + std::to_string(max_frame_bytes) +
         "-byte limit");
   }
-  unsigned char header[4];
-  const std::uint32_t length = static_cast<std::uint32_t>(payload.size());
-  header[0] = static_cast<unsigned char>(length >> 24);
-  header[1] = static_cast<unsigned char>(length >> 16);
-  header[2] = static_cast<unsigned char>(length >> 8);
-  header[3] = static_cast<unsigned char>(length);
-  MIC_RETURN_IF_ERROR(WriteAll(fd, header, sizeof(header)));
-  if (!payload.empty()) {
-    MIC_RETURN_IF_ERROR(WriteAll(fd, payload.data(), payload.size()));
-  }
-  return Status::OK();
+  const std::uint32_t length =
+      htonl(static_cast<std::uint32_t>(payload.size()));
+  FramePrefix prefix{};
+  std::memcpy(prefix.data(), &length, prefix.size());
+  return SendAll(fd, std::string_view(prefix.data(), prefix.size()),
+                 payload);
 }
 
-Result<std::string> ReadFrame(int fd, const WireLimits& limits,
-                              const std::atomic<bool>* stop) {
-  unsigned char header[4];
+Result<FramePrefix> ReadFramePrefix(int fd, const WireLimits& limits,
+                                    const std::atomic<bool>* stop) {
+  FramePrefix prefix{};
   bool saw_any = false;
-  Status status = ReadAll(fd, header, sizeof(header), limits, stop,
-                          &saw_any);
+  Status status =
+      ReadAll(fd, prefix.data(), prefix.size(), limits, stop, &saw_any);
   if (!status.ok()) {
     if (status.code() == StatusCode::kIoError && !saw_any) {
       return Status::NotFound("connection closed");
     }
     return status;
   }
-  const std::uint32_t length = (static_cast<std::uint32_t>(header[0]) << 24) |
-                               (static_cast<std::uint32_t>(header[1]) << 16) |
-                               (static_cast<std::uint32_t>(header[2]) << 8) |
-                               static_cast<std::uint32_t>(header[3]);
+  return prefix;
+}
+
+Result<std::string> ReadFramePayload(int fd, const FramePrefix& prefix,
+                                     const WireLimits& limits,
+                                     const std::atomic<bool>* stop) {
+  std::uint32_t length = 0;
+  std::memcpy(&length, prefix.data(), prefix.size());
+  length = ntohl(length);
   if (length > limits.max_frame_bytes) {
     return Status::FailedPrecondition(
         "declared frame length " + std::to_string(length) +
@@ -516,10 +551,18 @@ Result<std::string> ReadFrame(int fd, const WireLimits& limits,
   }
   std::string payload(length, '\0');
   if (length > 0) {
+    bool saw_any = true;  // the prefix arrived, so EOF now tears the frame
     MIC_RETURN_IF_ERROR(
         ReadAll(fd, payload.data(), length, limits, stop, &saw_any));
   }
   return payload;
+}
+
+Result<std::string> ReadFrame(int fd, const WireLimits& limits,
+                              const std::atomic<bool>* stop) {
+  MIC_ASSIGN_OR_RETURN(const FramePrefix prefix,
+                       ReadFramePrefix(fd, limits, stop));
+  return ReadFramePayload(fd, prefix, limits, stop);
 }
 
 Result<int> ConnectTcp(const std::string& host, int port) {
@@ -548,8 +591,10 @@ Result<int> ConnectTcp(const std::string& host, int port) {
     ::close(fd);
     return Status::IoError(message);
   }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  if (Status nodelay = SetNoDelay(fd); !nodelay.ok()) {
+    ::close(fd);
+    return nodelay;
+  }
   return fd;
 }
 
