@@ -1,9 +1,11 @@
 // google-benchmark microbenchmarks of the performance-critical kernels:
-// the Kalman filter (the inner loop of every fit), the structural model
-// fit, one EM pass of the medication model, ARIMA selection, and claim
-// generation throughput.
+// the Kalman filter (the inner loop of every fit, on the dynamic and the
+// fixed-dimension kernels), the structural model fit, one EM pass of the
+// medication model, ARIMA selection, and claim generation throughput.
 
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "arima/arima.h"
 #include "common/rng.h"
@@ -11,6 +13,7 @@
 #include "ssm/changepoint.h"
 #include "ssm/fit.h"
 #include "ssm/kalman.h"
+#include "ssm/kalman_fixed.h"
 #include "synth/generator.h"
 #include "synth/scenario.h"
 
@@ -103,6 +106,35 @@ void BM_KalmanFilterMultiRegressor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KalmanFilterMultiRegressor)->Arg(1)->Arg(3)->Arg(5);
+
+void BM_RegressionFilterKernel(benchmark::State& state) {
+  // One 43-step regression pass through the kernel dispatcher, the call
+  // every Nelder-Mead evaluation of a one-intervention fit makes, for
+  // each state dimension with a fixed kernel: 1 (level), 5 (level + two
+  // trig harmonics), 12 (level + period-12 dummy seasonal). The second
+  // argument picks the kernel: 0 dynamic, 1 fixed.
+  const int dim = static_cast<int>(state.range(0));
+  const ssm::KalmanKernel kernel = state.range(1) == 0
+                                       ? ssm::KalmanKernel::kDynamic
+                                       : ssm::KalmanKernel::kFixed;
+  const int n = 43;
+  const auto series = MakeSeries(n, 3);
+  const auto regressor = ssm::SlopeShiftRegressor(n / 2, n);
+  ssm::StructuralSpec spec;
+  spec.seasonal = dim > 1;
+  if (dim == 5) spec.seasonal_form = ssm::SeasonalForm::kTrigonometric;
+  auto model = ssm::BuildStructuralModel(spec, {1.0, 0.1, 0.01});
+  for (auto _ : state) {
+    auto result = ssm::RunFilterWithRegressionKernel(kernel, *model, series,
+                                                     regressor);
+    benchmark::DoNotOptimize(result->profiled_log_likelihood);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetLabel(std::string(ssm::KalmanKernelName(kernel)));
+}
+BENCHMARK(BM_RegressionFilterKernel)
+    ->ArgNames({"dim", "fixed"})
+    ->ArgsProduct({{1, 5, 12}, {0, 1}});
 
 void BM_StructuralFitSeasonal(benchmark::State& state) {
   const auto series = MakeSeries(43, 4);

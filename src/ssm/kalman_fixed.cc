@@ -15,27 +15,11 @@ constexpr double kLogTwoPi = 1.8378770664093453;
 
 bool IsMissing(double x) { return std::isnan(x); }
 
-// --- Flat-array twins of the la:: kernels. ---------------------------
+// --- Flat-array kernels. ----------------------------------------------
 //
-// Each helper reproduces the corresponding la:: loop body verbatim
-// (including the a_rk == 0.0 shortcut of MultiplyInto, which changes
-// the accumulation sequence for the sparse transition/selection
-// matrices), so a fixed pass and a dynamic pass accumulate every double
-// in the same order and agree bit for bit.
-
-template <int Dim>
-inline void MatMul(const double* a, const double* b, double* out) {
-  for (int i = 0; i < Dim * Dim; ++i) out[i] = 0.0;
-  for (int r = 0; r < Dim; ++r) {
-    for (int k = 0; k < Dim; ++k) {
-      const double a_rk = a[r * Dim + k];
-      if (a_rk == 0.0) continue;
-      for (int c = 0; c < Dim; ++c) {
-        out[r * Dim + c] += a_rk * b[k * Dim + c];
-      }
-    }
-  }
-}
+// MatVec, Dot, Symmetrize and MaxAbs reproduce their la:: loop bodies
+// verbatim. Products with T go through FixedModel's index of T's
+// nonzeros instead (kalman_fixed.h says why that is bit-identical).
 
 template <int Dim>
 inline void MatVec(const double* m, const double* v, double* out) {
@@ -73,30 +57,37 @@ inline double MaxAbs(const double* m) {
   return best;
 }
 
-// Per-pass constant data copied to flat storage once. RQR' and T' are
-// produced by the very la:: calls the dynamic setup uses, so their bits
-// match by construction.
+// Per-pass constant data copied to flat storage once. RQR' is produced
+// by the very la:: calls the dynamic setup uses, so its bits match by
+// construction. T is kept as its nonzeros only, row by row in ascending
+// column order: row r holds entries [row_begin[r], row_begin[r + 1]) of
+// col/value.
 template <int Dim>
 struct FixedModel {
-  double transition[Dim * Dim] = {};
-  double transition_t[Dim * Dim] = {};
+  int row_begin[Dim + 1] = {};
+  int col[Dim * Dim] = {};
+  double value[Dim * Dim] = {};
   double rqr[Dim * Dim] = {};
   double z_base[Dim] = {};
   bool has_time_varying = false;
 
   explicit FixedModel(const StateSpaceModel& model) {
-    la::Matrix rq, selection_t, rqr_m, transition_t_m;
+    la::Matrix rq, selection_t, rqr_m;
     la::MultiplyInto(model.selection, model.state_noise, &rq);
     la::TransposeInto(model.selection, &selection_t);
     la::MultiplyInto(rq, selection_t, &rqr_m);
-    la::TransposeInto(model.transition, &transition_t_m);
+    int nonzeros = 0;
     for (int r = 0; r < Dim; ++r) {
+      row_begin[r] = nonzeros;
       for (int c = 0; c < Dim; ++c) {
-        transition[r * Dim + c] = model.transition(r, c);
-        transition_t[r * Dim + c] = transition_t_m(r, c);
         rqr[r * Dim + c] = rqr_m(r, c);
+        if (model.transition(r, c) != 0.0) {
+          col[nonzeros] = c;
+          value[nonzeros++] = model.transition(r, c);
+        }
       }
     }
+    row_begin[Dim] = nonzeros;
     for (int i = 0; i < Dim; ++i) z_base[i] = model.observation[i];
     has_time_varying = !model.time_varying.empty();
   }
@@ -112,18 +103,54 @@ struct FixedModel {
       }
     }
   }
+
+  // out <- T * v; `out` must not alias `v`.
+  void TimesVector(const double* v, double* out) const {
+    for (int r = 0; r < Dim; ++r) {
+      double total = 0.0;
+      for (int e = row_begin[r]; e < row_begin[r + 1]; ++e) {
+        total += value[e] * v[col[e]];
+      }
+      out[r] = total;
+    }
+  }
+
+  // out <- T * m for a row-major Dim x Dim m: each nonzero T(r, k) adds
+  // T(r, k) times row k of m to row r of out. `out` must not alias `m`.
+  void TimesMatrix(const double* m, double* out) const {
+    for (int r = 0; r < Dim; ++r) {
+      double* out_row = out + r * Dim;
+      for (int c = 0; c < Dim; ++c) out_row[c] = 0.0;
+      for (int e = row_begin[r]; e < row_begin[r + 1]; ++e) {
+        const double t_rk = value[e];
+        const double* m_row = m + col[e] * Dim;
+        for (int c = 0; c < Dim; ++c) out_row[c] += t_rk * m_row[c];
+      }
+    }
+  }
 };
 
-// covariance <- T * source * T' + rqr, symmetrized (the dynamic path's
-// AdvanceCovariance, with the buffer swap realized as a copy).
+// next <- T * source * T' + rqr, symmetrized: the dynamic path's
+// AdvanceCovariance before its buffer swap. The right product is formed
+// as (T * (T * source)')' so that both products take TimesMatrix's
+// row-axpy shape; entry (r, c) still sums T(c, k) * (T * source)(r, k)
+// over ascending k. `tmp` is scratch; `source` is read before `next` is
+// written, so it may be `next` itself.
 template <int Dim>
-inline void AdvanceCovariance(const FixedModel<Dim>& fm, const double* source,
-                              double* cov, double* tmp, double* next) {
-  MatMul<Dim>(fm.transition, source, tmp);
-  MatMul<Dim>(tmp, fm.transition_t, next);
-  for (int i = 0; i < Dim * Dim; ++i) next[i] += fm.rqr[i];
+inline void PredictCovariance(const FixedModel<Dim>& fm,
+                              const double* source, double* tmp,
+                              double* next) {
+  fm.TimesMatrix(source, tmp);
+  for (int r = 0; r < Dim; ++r) {
+    for (int c = 0; c < Dim; ++c) next[c * Dim + r] = tmp[r * Dim + c];
+  }
+  fm.TimesMatrix(next, tmp);
+  for (int r = 0; r < Dim; ++r) {
+    for (int c = 0; c < Dim; ++c) {
+      next[r * Dim + c] = tmp[c * Dim + r] + fm.rqr[r * Dim + c];
+    }
+  }
   Symmetrize<Dim>(next);
-  for (int i = 0; i < Dim * Dim; ++i) cov[i] = next[i];
 }
 
 template <int Dim>
@@ -208,12 +235,12 @@ Result<FilterResult> RunFilterImpl(const StateSpaceModel& model,
     const double x = observations[t];
     if (IsMissing(x)) {
       result.innovations[t] = std::numeric_limits<double>::quiet_NaN();
-      MatVec<Dim>(fm.transition, state, tmp_vec);
+      fm.TimesVector(state, tmp_vec);
       for (int i = 0; i < Dim; ++i) state[i] = tmp_vec[i];
       if (steady) {
         steady = false;
       }
-      AdvanceCovariance<Dim>(fm, cov, cov, tmp_mat, next_cov);
+      PredictCovariance<Dim>(fm, cov, tmp_mat, cov);
       continue;
     }
 
@@ -239,8 +266,7 @@ Result<FilterResult> RunFilterImpl(const StateSpaceModel& model,
     for (int i = 0; i < Dim; ++i) {
       filtered[i] = state[i] + pz_sel[i] * gain_scale;
     }
-    MatVec<Dim>(fm.transition, filtered, tmp_vec);
-    for (int i = 0; i < Dim; ++i) state[i] = tmp_vec[i];
+    fm.TimesVector(filtered, state);
     if (steady) continue;  // Covariance frozen.
 
     for (int r = 0; r < Dim; ++r) {
@@ -249,10 +275,7 @@ Result<FilterResult> RunFilterImpl(const StateSpaceModel& model,
             cov[r * Dim + c] - pz[r] * pz[c] / prediction_variance;
       }
     }
-    MatMul<Dim>(fm.transition, filtered_cov, tmp_mat);
-    MatMul<Dim>(tmp_mat, fm.transition_t, next_cov);
-    for (int i = 0; i < Dim * Dim; ++i) next_cov[i] += fm.rqr[i];
-    Symmetrize<Dim>(next_cov);
+    PredictCovariance<Dim>(fm, filtered_cov, tmp_mat, next_cov);
     if (may_go_steady) {
       double max_change = 0.0;
       for (int r = 0; r < Dim; ++r) {
@@ -314,7 +337,6 @@ Result<RegressionFilterResult> RunRegressionImpl(
   double cov[Dim * Dim] = {};
   double filtered_cov[Dim * Dim] = {};
   double tmp_mat[Dim * Dim] = {};
-  double next_cov[Dim * Dim] = {};
   for (int i = 0; i < Dim; ++i) state[i] = model.initial_state[i];
   for (int r = 0; r < Dim; ++r) {
     for (int c = 0; c < Dim; ++c) {
@@ -345,11 +367,11 @@ Result<RegressionFilterResult> RunRegressionImpl(
     const double x = observations[t];
     if (IsMissing(x)) {
       base.innovations[t] = std::numeric_limits<double>::quiet_NaN();
-      MatVec<Dim>(fm.transition, state, tmp_vec);
+      fm.TimesVector(state, tmp_vec);
       for (int i = 0; i < Dim; ++i) state[i] = tmp_vec[i];
-      MatVec<Dim>(fm.transition, state_aux, tmp_vec);
+      fm.TimesVector(state_aux, tmp_vec);
       for (int i = 0; i < Dim; ++i) state_aux[i] = tmp_vec[i];
-      AdvanceCovariance<Dim>(fm, cov, cov, tmp_mat, next_cov);
+      PredictCovariance<Dim>(fm, cov, tmp_mat, cov);
       continue;
     }
     if (!(prediction_variance > 0.0) ||
@@ -385,9 +407,9 @@ Result<RegressionFilterResult> RunRegressionImpl(
             cov[r * Dim + c] - pz[r] * pz[c] / prediction_variance;
       }
     }
-    MatVec<Dim>(fm.transition, filtered, state);
-    MatVec<Dim>(fm.transition, filtered_aux, state_aux);
-    AdvanceCovariance<Dim>(fm, filtered_cov, cov, tmp_mat, next_cov);
+    fm.TimesVector(filtered, state);
+    fm.TimesVector(filtered_aux, state_aux);
+    PredictCovariance<Dim>(fm, filtered_cov, tmp_mat, cov);
   }
 
   base.log_likelihood = log_likelihood;
@@ -441,7 +463,6 @@ Result<MultiRegressionFilterResult> RunRegressorsImpl(
   double cov[Dim * Dim] = {};
   double filtered_cov[Dim * Dim] = {};
   double tmp_mat[Dim * Dim] = {};
-  double next_cov[Dim * Dim] = {};
   for (int i = 0; i < Dim; ++i) state[i] = model.initial_state[i];
   for (int r = 0; r < Dim; ++r) {
     for (int c = 0; c < Dim; ++c) {
@@ -472,13 +493,13 @@ Result<MultiRegressionFilterResult> RunRegressorsImpl(
     const double x = observations[t];
     if (IsMissing(x)) {
       base.innovations[t] = std::numeric_limits<double>::quiet_NaN();
-      MatVec<Dim>(fm.transition, state, tmp_vec);
+      fm.TimesVector(state, tmp_vec);
       for (int i = 0; i < Dim; ++i) state[i] = tmp_vec[i];
       for (auto& sw : state_w) {
-        MatVec<Dim>(fm.transition, sw.data(), tmp_vec);
+        fm.TimesVector(sw.data(), tmp_vec);
         for (int i = 0; i < Dim; ++i) sw[i] = tmp_vec[i];
       }
-      AdvanceCovariance<Dim>(fm, cov, cov, tmp_mat, next_cov);
+      PredictCovariance<Dim>(fm, cov, tmp_mat, cov);
       continue;
     }
     if (!(prediction_variance > 0.0) ||
@@ -517,7 +538,7 @@ Result<MultiRegressionFilterResult> RunRegressorsImpl(
       for (int i = 0; i < Dim; ++i) {
         state_w[j][i] += pz[i] * gain_w;
       }
-      MatVec<Dim>(fm.transition, state_w[j].data(), tmp_vec);
+      fm.TimesVector(state_w[j].data(), tmp_vec);
       for (int i = 0; i < Dim; ++i) state_w[j][i] = tmp_vec[i];
     }
     for (int r = 0; r < Dim; ++r) {
@@ -526,8 +547,8 @@ Result<MultiRegressionFilterResult> RunRegressorsImpl(
             cov[r * Dim + c] - pz[r] * pz[c] / prediction_variance;
       }
     }
-    MatVec<Dim>(fm.transition, filtered, state);
-    AdvanceCovariance<Dim>(fm, filtered_cov, cov, tmp_mat, next_cov);
+    fm.TimesVector(filtered, state);
+    PredictCovariance<Dim>(fm, filtered_cov, tmp_mat, cov);
   }
 
   base.log_likelihood = log_likelihood;

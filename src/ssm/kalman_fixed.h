@@ -2,16 +2,23 @@
 // model's small state vectors (level = 1, level + trig seasonal = 5,
 // level + 11 dummy seasonal states = 12 at the paper's monthly period).
 //
-// Each kernel is a twin of the dynamic implementation in kalman.cc: the
-// per-step temporaries live in flat stack arrays sized by the template
-// parameter instead of heap-backed la:: objects, the loop bounds are
-// compile-time constants, and every inner loop replicates the dynamic
-// path's floating-point accumulation order exactly (including the
-// skip-zero shortcut of la::MultiplyInto and the Symmetrize averaging),
-// so the two paths produce bit-identical FilterResults. The win is pure
-// overhead removal on the Table V hot path: no buffer Resize/re-zeroing
-// per kernel call, no virtual-size indirection, and loop bodies the
-// compiler can fully unroll.
+// Each kernel is a twin of the dynamic implementation in kalman.cc that
+// keeps its per-step temporaries in flat stack arrays sized by the
+// template parameter, and the two produce bit-identical FilterResults.
+// P*z, the dot products and the Symmetrize averaging replicate the
+// dynamic loops verbatim. The products with the transition T do not:
+// each pass indexes T's nonzeros once (row by row, ascending column)
+// and forms T*P, (T*P)*T' and T*a over that index alone. The paper's
+// dim-12 T has 22 nonzeros of 144, so a matrix product costs 264
+// multiply-adds instead of up to 1728. This is exact because:
+//   - T*P: la::MultiplyInto already skips T's zero entries and visits
+//     the rest in the same order;
+//   - (T*P)*T' and T*a: every term one path adds and the other does
+//     not is a finite value times an exact zero, i.e. +-0. Each sum
+//     starts at +0.0, and under round-to-nearest a sum that starts at
+//     +0.0 is never -0.0, so adding +-0 leaves its bits unchanged;
+//   - every input is finite (a fit caps its log-variances at +-50), so
+//     no dropped term is inf * 0 = NaN.
 //
 // Selection happens through KalmanKernel (kalman.h): the Run*Kernel
 // dispatchers below resolve kAuto to the fixed path whenever the
@@ -23,7 +30,6 @@
 #define MICTREND_SSM_KALMAN_FIXED_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -73,57 +79,6 @@ Result<MultiRegressionFilterResult> RunFilterWithRegressorsKernel(
     const std::vector<double>& observations,
     const std::vector<std::vector<double>>& regressors,
     const KalmanOptions& options = {});
-
-/// Dimension-in-the-type face of the fixed kernels for callers that
-/// statically know their state dimension (e.g. FixedKalman<12> for the
-/// paper's level + period-12 dummy seasonal model). Forwards to the
-/// same compiled kernels as the Run*Fixed free functions after checking
-/// the model against StateDim.
-template <int StateDim>
-struct FixedKalman {
-  static constexpr int kStateDim = StateDim;
-
-  /// Whether this dimension has a compiled kernel.
-  static bool Supported() {
-    return HasFixedKernel(static_cast<std::size_t>(StateDim));
-  }
-
-  static Result<FilterResult> Run(const StateSpaceModel& model,
-                                  const std::vector<double>& observations,
-                                  const KalmanOptions& options = {}) {
-    MIC_RETURN_IF_ERROR(CheckDim(model));
-    return RunFilterFixed(model, observations, options);
-  }
-
-  static Result<RegressionFilterResult> RunWithRegression(
-      const StateSpaceModel& model, const std::vector<double>& observations,
-      const std::vector<double>& regressor,
-      const KalmanOptions& options = {}) {
-    MIC_RETURN_IF_ERROR(CheckDim(model));
-    return RunFilterWithRegressionFixed(model, observations, regressor,
-                                        options);
-  }
-
-  static Result<MultiRegressionFilterResult> RunWithRegressors(
-      const StateSpaceModel& model, const std::vector<double>& observations,
-      const std::vector<std::vector<double>>& regressors,
-      const KalmanOptions& options = {}) {
-    MIC_RETURN_IF_ERROR(CheckDim(model));
-    return RunFilterWithRegressorsFixed(model, observations, regressors,
-                                        options);
-  }
-
- private:
-  static Status CheckDim(const StateSpaceModel& model) {
-    if (model.state_dim() != static_cast<std::size_t>(StateDim)) {
-      return Status::InvalidArgument(
-          "FixedKalman<" + std::to_string(StateDim) +
-          "> given a model of state dimension " +
-          std::to_string(model.state_dim()));
-    }
-    return Status::OK();
-  }
-};
 
 }  // namespace mic::ssm
 

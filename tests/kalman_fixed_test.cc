@@ -2,9 +2,9 @@
 // every compiled state dimension (1, 5, 12) and every filter entry
 // point, the fixed path must reproduce the dynamic path's output to the
 // last bit — likelihoods, per-step series, and final state/covariance —
-// including under missing observations and the steady-state shortcut.
-// Also covers the KalmanKernel dispatch surface and FitOptions
-// validation.
+// including under missing observations and the steady-state shortcut,
+// on the structural models and on a general dense transition. Also
+// covers the KalmanKernel dispatch surface and FitOptions validation.
 
 #include "ssm/kalman_fixed.h"
 
@@ -107,6 +107,75 @@ StateSpaceModel ModelForDim(int dim) {
   return std::move(model).value();
 }
 
+// A model no structural spec builds: a seeded dense T with exact zeros
+// and negative entries (at most 0.9/dim in magnitude besides T(0, 0) =
+// -0.45, so long runs stay finite), dense R, Q and Z, and an initial
+// covariance with an all-zero row and column whose state also starts at
+// exactly 0. The structural T entries are only 0, ±1 and cos/sin, so
+// this is the input that pins the fixed kernels' sparse products (which
+// drop T's zero terms) to the dense dynamic path.
+StateSpaceModel GeneralModelForDim(int dim) {
+  Rng rng(1000 + dim);
+  auto uniform = [&rng](double lo, double hi) {
+    return lo + (hi - lo) * rng.NextDouble();
+  };
+  const std::size_t n = static_cast<std::size_t>(dim);
+  constexpr std::size_t kNoise = 2;
+  StateSpaceModel model;
+  model.transition = la::Matrix(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      const double u = uniform(-1.0, 1.0);
+      model.transition(r, c) = std::fabs(u) < 0.35 ? 0.0 : 0.9 * u / dim;
+    }
+  }
+  model.transition(0, 0) = -0.45;
+  model.selection = la::Matrix(n, kNoise);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < kNoise; ++c) {
+      model.selection(r, c) = uniform(-1.0, 1.0);
+    }
+  }
+  model.state_noise = la::Matrix(kNoise, kNoise);
+  model.state_noise(0, 0) = 0.3;
+  model.state_noise(1, 1) = 0.1;
+  model.state_noise(0, 1) = model.state_noise(1, 0) = 0.05;
+  model.observation = la::Vector(n);
+  model.initial_state = la::Vector(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    model.observation[i] = uniform(0.2, 1.2);
+    model.initial_state[i] = uniform(-1.0, 1.0);
+  }
+  model.observation_variance = 0.7;
+  // P_1 = A A' + I, then row and column `zero` cleared; a_1[zero] = 0.
+  const std::size_t zero = n / 2;
+  model.initial_state[zero] = 0.0;
+  la::Matrix a(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) a(r, c) = uniform(-1.0, 1.0);
+  }
+  model.initial_covariance = la::Matrix(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      if (r == zero || c == zero) continue;
+      double total = r == c ? 1.0 : 0.0;
+      for (std::size_t k = 0; k < n; ++k) total += a(r, k) * a(c, k);
+      model.initial_covariance(r, c) = total;
+    }
+  }
+  EXPECT_TRUE(model.Validate().ok());
+  return model;
+}
+
+// The inputs every bit-exact loop runs per dimension: the structural
+// model and the general one.
+std::vector<StateSpaceModel> ModelsForDim(int dim) {
+  std::vector<StateSpaceModel> models;
+  models.push_back(ModelForDim(dim));
+  models.push_back(GeneralModelForDim(dim));
+  return models;
+}
+
 std::vector<double> MakeSeries(int n, std::uint64_t seed,
                                bool with_gaps = false) {
   Rng rng(seed);
@@ -135,27 +204,34 @@ TEST(KalmanFixedTest, KernelTableCoversTheStructuralDimensions) {
 
 TEST(KalmanFixedTest, RunFilterBitExactAcrossDims) {
   for (int dim : {1, 5, 12}) {
-    const StateSpaceModel model = ModelForDim(dim);
-    const auto series = MakeSeries(43, 11 + dim);
-    KalmanOptions options;
-    options.store_states = true;
-    auto fixed = RunFilterFixed(model, series, options);
-    auto dynamic = RunFilter(model, series, options);
-    ASSERT_TRUE(fixed.ok()) << fixed.status();
-    ASSERT_TRUE(dynamic.ok()) << dynamic.status();
-    ExpectSameFilterResult(*fixed, *dynamic);
+    for (const StateSpaceModel& model : ModelsForDim(dim)) {
+      const auto series = MakeSeries(43, 11 + dim);
+      KalmanOptions options;
+      options.store_states = true;
+      auto fixed = RunFilterFixed(model, series, options);
+      auto dynamic = RunFilter(model, series, options);
+      ASSERT_TRUE(fixed.ok()) << fixed.status();
+      ASSERT_TRUE(dynamic.ok()) << dynamic.status();
+      ExpectSameFilterResult(*fixed, *dynamic);
+    }
   }
 }
 
 TEST(KalmanFixedTest, RunFilterBitExactWithMissingObservations) {
+  // A leading gap advances the initial state unfiltered, so a T * a_1
+  // whose every term is a zero must still come out +0.0.
   for (int dim : {1, 5, 12}) {
-    const StateSpaceModel model = ModelForDim(dim);
-    const auto series = MakeSeries(60, 23 + dim, /*with_gaps=*/true);
-    auto fixed = RunFilterFixed(model, series);
-    auto dynamic = RunFilter(model, series);
-    ASSERT_TRUE(fixed.ok()) << fixed.status();
-    ASSERT_TRUE(dynamic.ok()) << dynamic.status();
-    ExpectSameFilterResult(*fixed, *dynamic);
+    for (const StateSpaceModel& model : ModelsForDim(dim)) {
+      auto series = MakeSeries(60, 23 + dim, /*with_gaps=*/true);
+      series[0] = std::numeric_limits<double>::quiet_NaN();
+      KalmanOptions options;
+      options.store_states = true;
+      auto fixed = RunFilterFixed(model, series, options);
+      auto dynamic = RunFilter(model, series, options);
+      ASSERT_TRUE(fixed.ok()) << fixed.status();
+      ASSERT_TRUE(dynamic.ok()) << dynamic.status();
+      ExpectSameFilterResult(*fixed, *dynamic);
+    }
   }
 }
 
@@ -164,69 +240,82 @@ TEST(KalmanFixedTest, RunFilterBitExactThroughSteadyState) {
   // steady state (n >= dim^2 + 20); both paths must take the shortcut
   // at the same step and stay identical.
   for (int dim : {1, 5, 12}) {
-    const StateSpaceModel model = ModelForDim(dim);
-    const auto series = MakeSeries(220, 31 + dim);
-    auto fixed = RunFilterFixed(model, series);
-    auto dynamic = RunFilter(model, series);
-    ASSERT_TRUE(fixed.ok()) << fixed.status();
-    ASSERT_TRUE(dynamic.ok()) << dynamic.status();
-    ExpectSameFilterResult(*fixed, *dynamic);
+    for (const StateSpaceModel& model : ModelsForDim(dim)) {
+      const auto series = MakeSeries(220, 31 + dim);
+      auto fixed = RunFilterFixed(model, series);
+      auto dynamic = RunFilter(model, series);
+      ASSERT_TRUE(fixed.ok()) << fixed.status();
+      ASSERT_TRUE(dynamic.ok()) << dynamic.status();
+      ExpectSameFilterResult(*fixed, *dynamic);
 
-    KalmanOptions no_steady;
-    no_steady.allow_steady_state = false;
-    auto fixed_ns = RunFilterFixed(model, series, no_steady);
-    auto dynamic_ns = RunFilter(model, series, no_steady);
-    ASSERT_TRUE(fixed_ns.ok()) << fixed_ns.status();
-    ASSERT_TRUE(dynamic_ns.ok()) << dynamic_ns.status();
-    ExpectSameFilterResult(*fixed_ns, *dynamic_ns);
+      KalmanOptions no_steady;
+      no_steady.allow_steady_state = false;
+      auto fixed_ns = RunFilterFixed(model, series, no_steady);
+      auto dynamic_ns = RunFilter(model, series, no_steady);
+      ASSERT_TRUE(fixed_ns.ok()) << fixed_ns.status();
+      ASSERT_TRUE(dynamic_ns.ok()) << dynamic_ns.status();
+      ExpectSameFilterResult(*fixed_ns, *dynamic_ns);
+    }
   }
 }
 
 TEST(KalmanFixedTest, RegressionBitExactAcrossDims) {
   for (int dim : {1, 5, 12}) {
-    const StateSpaceModel model = ModelForDim(dim);
-    const auto series = MakeSeries(43, 47 + dim, /*with_gaps=*/true);
-    const auto regressor =
-        SlopeShiftRegressor(20, static_cast<int>(series.size()));
-    auto fixed = RunFilterWithRegressionFixed(model, series, regressor);
-    auto dynamic = RunFilterWithRegression(model, series, regressor);
-    ASSERT_TRUE(fixed.ok()) << fixed.status();
-    ASSERT_TRUE(dynamic.ok()) << dynamic.status();
-    ExpectSameBits(fixed->lambda, dynamic->lambda, "lambda");
-    ExpectSameBits(fixed->lambda_variance, dynamic->lambda_variance,
-                   "lambda_variance");
-    ExpectSameBits(fixed->profiled_log_likelihood,
-                   dynamic->profiled_log_likelihood,
-                   "profiled_log_likelihood");
+    for (const StateSpaceModel& model : ModelsForDim(dim)) {
+      for (bool with_gaps : {false, true}) {
+        const auto series = MakeSeries(43, 47 + dim, with_gaps);
+        const auto regressor =
+            SlopeShiftRegressor(20, static_cast<int>(series.size()));
+        KalmanOptions options;
+        options.store_states = true;
+        auto fixed =
+            RunFilterWithRegressionFixed(model, series, regressor, options);
+        auto dynamic =
+            RunFilterWithRegression(model, series, regressor, options);
+        ASSERT_TRUE(fixed.ok()) << fixed.status();
+        ASSERT_TRUE(dynamic.ok()) << dynamic.status();
+        ExpectSameFilterResult(fixed->base, dynamic->base);
+        ExpectSameBits(fixed->lambda, dynamic->lambda, "lambda");
+        ExpectSameBits(fixed->lambda_variance, dynamic->lambda_variance,
+                       "lambda_variance");
+        ExpectSameBits(fixed->profiled_log_likelihood,
+                       dynamic->profiled_log_likelihood,
+                       "profiled_log_likelihood");
+      }
+    }
   }
 }
 
 TEST(KalmanFixedTest, MultiRegressorBitExactAcrossDims) {
   for (int dim : {1, 5, 12}) {
-    const StateSpaceModel model = ModelForDim(dim);
-    const auto series = MakeSeries(43, 59 + dim);
-    const int n = static_cast<int>(series.size());
-    const std::vector<std::vector<double>> regressors = {
-        InterventionRegressor({15, InterventionKind::kSlopeShift}, n),
-        InterventionRegressor({28, InterventionKind::kLevelShift}, n)};
-    auto fixed = RunFilterWithRegressorsFixed(model, series, regressors);
-    auto dynamic = RunFilterWithRegressors(model, series, regressors);
-    ASSERT_TRUE(fixed.ok()) << fixed.status();
-    ASSERT_TRUE(dynamic.ok()) << dynamic.status();
-    ExpectSameBits(fixed->lambdas, dynamic->lambdas, "lambdas");
-    ExpectSameBits(fixed->profiled_log_likelihood,
-                   dynamic->profiled_log_likelihood,
-                   "profiled_log_likelihood");
+    for (const StateSpaceModel& model : ModelsForDim(dim)) {
+      for (bool with_gaps : {false, true}) {
+        const auto series = MakeSeries(43, 59 + dim, with_gaps);
+        const int n = static_cast<int>(series.size());
+        const std::vector<std::vector<double>> regressors = {
+            InterventionRegressor({15, InterventionKind::kSlopeShift}, n),
+            InterventionRegressor({28, InterventionKind::kLevelShift}, n)};
+        auto fixed = RunFilterWithRegressorsFixed(model, series, regressors);
+        auto dynamic = RunFilterWithRegressors(model, series, regressors);
+        ASSERT_TRUE(fixed.ok()) << fixed.status();
+        ASSERT_TRUE(dynamic.ok()) << dynamic.status();
+        ExpectSameFilterResult(fixed->base, dynamic->base);
+        ExpectSameBits(fixed->lambdas, dynamic->lambdas, "lambdas");
+        ExpectSameBits(fixed->profiled_log_likelihood,
+                       dynamic->profiled_log_likelihood,
+                       "profiled_log_likelihood");
 
-    // Zero regressors degenerates to the plain filter in both paths.
-    auto fixed_empty = RunFilterWithRegressorsFixed(model, series, {});
-    auto dynamic_empty = RunFilterWithRegressors(model, series, {});
-    ASSERT_TRUE(fixed_empty.ok()) << fixed_empty.status();
-    ASSERT_TRUE(dynamic_empty.ok()) << dynamic_empty.status();
-    EXPECT_TRUE(fixed_empty->lambdas.empty());
-    ExpectSameBits(fixed_empty->profiled_log_likelihood,
-                   dynamic_empty->profiled_log_likelihood,
-                   "profiled_log_likelihood (no regressors)");
+        // Zero regressors degenerates to the plain filter in both paths.
+        auto fixed_empty = RunFilterWithRegressorsFixed(model, series, {});
+        auto dynamic_empty = RunFilterWithRegressors(model, series, {});
+        ASSERT_TRUE(fixed_empty.ok()) << fixed_empty.status();
+        ASSERT_TRUE(dynamic_empty.ok()) << dynamic_empty.status();
+        EXPECT_TRUE(fixed_empty->lambdas.empty());
+        ExpectSameBits(fixed_empty->profiled_log_likelihood,
+                       dynamic_empty->profiled_log_likelihood,
+                       "profiled_log_likelihood (no regressors)");
+      }
+    }
   }
 }
 
@@ -259,24 +348,6 @@ TEST(KalmanFixedTest, KernelDispatchResolvesAndAgrees) {
   auto rejected = RunFilterFixed(*odd_model, series);
   EXPECT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(KalmanFixedTest, FixedKalmanTypeChecksItsDimension) {
-  EXPECT_TRUE(FixedKalman<12>::Supported());
-  EXPECT_TRUE(FixedKalman<1>::Supported());
-  EXPECT_FALSE(FixedKalman<3>::Supported());
-
-  const StateSpaceModel model = ModelForDim(12);
-  const auto series = MakeSeries(43, 83);
-  auto typed = FixedKalman<12>::Run(model, series);
-  auto dynamic = RunFilter(model, series);
-  ASSERT_TRUE(typed.ok()) << typed.status();
-  ASSERT_TRUE(dynamic.ok()) << dynamic.status();
-  ExpectSameFilterResult(*typed, *dynamic);
-
-  auto mismatched = FixedKalman<1>::Run(model, series);
-  EXPECT_FALSE(mismatched.ok());
-  EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(KalmanFixedTest, FitOptionsValidateReportsFieldPaths) {
