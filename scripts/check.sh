@@ -5,7 +5,7 @@
 # MICTREND_BENCH_JSON report, and gates the deterministic values
 # against the committed baseline. Run from the repo root:
 #
-#   scripts/check.sh              # all presets + bench/cache/store/serve/perf/obs smoke
+#   scripts/check.sh              # all presets + bench/cache/store/serve/perf/obs/perfbench smoke
 #   scripts/check.sh default      # just one preset
 #   scripts/check.sh bench-smoke  # just the bench regression gate
 #   scripts/check.sh cache-smoke  # just the incremental-cache gate
@@ -14,6 +14,7 @@
 #   scripts/check.sh drill-smoke  # just the drill-down rollup gate
 #   scripts/check.sh perf-smoke   # just the parallel-scaling gate
 #   scripts/check.sh obs-smoke    # just the telemetry/OpenMetrics gate
+#   scripts/check.sh perfbench-smoke  # just the benchmark harness build + selftest
 #
 # Presets come from CMakePresets.json (cmake >= 3.21); on older cmake
 # this falls back to plain -B/-S invocations with the same cache
@@ -21,7 +22,7 @@
 set -e
 
 cd "$(dirname "$0")/.."
-PRESETS="${*:-default tsan asan bench-smoke cache-smoke store-smoke serve-smoke drill-smoke perf-smoke obs-smoke}"
+PRESETS="${*:-default tsan asan bench-smoke cache-smoke store-smoke serve-smoke drill-smoke perf-smoke obs-smoke perfbench-smoke}"
 
 # Runs bench_table5_efficiency at the pinned smoke scale (the config the
 # committed baseline was generated with -- bench_compare refuses to diff
@@ -573,6 +574,16 @@ assert body.endswith(b"# EOF\n"), body[-80:]' \
   echo "obs-smoke OK: lint-clean exposition, matching stats/varz, full access log"
 }
 
+# The benchmark harness compiles ../src outside the CMake tree (into the
+# gitignored .bench_build/), so a src/ change that breaks it would
+# otherwise only show at the next benchmark run. Build it and run its
+# own tests.
+perfbench_smoke() {
+  echo "==== perfbench-smoke: benchmark harness build + selftest ===="
+  python3 perfbench/run.py --selftest
+  echo "perfbench-smoke OK"
+}
+
 supports_presets() {
   cmake --list-presets >/dev/null 2>&1
 }
@@ -612,6 +623,10 @@ for preset in $PRESETS; do
   fi
   if [ "$preset" = "obs-smoke" ]; then
     obs_smoke
+    continue
+  fi
+  if [ "$preset" = "perfbench-smoke" ]; then
+    perfbench_smoke
     continue
   fi
   echo "==== ${preset}: configure + build + test ===="

@@ -41,9 +41,6 @@ class TraceLog;
 namespace mic::cache {
 class CacheStore;
 }  // namespace mic::cache
-namespace mic::store {
-class ClaimStore;
-}  // namespace mic::store
 
 namespace mic {
 
@@ -56,11 +53,6 @@ struct ExecContext {
   obs::TraceLog* trace = nullptr;
   /// Incremental-computation store (not owned; null disables caching).
   cache::CacheStore* cache = nullptr;
-  /// Persistent claim store the corpus was ingested from (not owned;
-  /// null when the run parsed CSV). Purely informational for stages —
-  /// ingest happens before the pipeline — but it lets reporting name
-  /// the corpus source.
-  store::ClaimStore* store = nullptr;
 };
 
 }  // namespace mic

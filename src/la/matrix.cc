@@ -113,13 +113,6 @@ Vector Matrix::Row(std::size_t r) const {
   return out;
 }
 
-Vector Matrix::Col(std::size_t c) const {
-  MIC_CHECK_LT(c, cols_);
-  Vector out(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) out[r] = (*this)(r, c);
-  return out;
-}
-
 void Matrix::Symmetrize() {
   MIC_CHECK_EQ(rows_, cols_);
   for (std::size_t r = 0; r < rows_; ++r) {

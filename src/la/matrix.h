@@ -99,8 +99,6 @@ class Matrix {
 
   /// Row `r` as a vector.
   Vector Row(std::size_t r) const;
-  /// Column `c` as a vector.
-  Vector Col(std::size_t c) const;
 
   /// Symmetrizes in place: A <- (A + A') / 2. Used to keep covariance
   /// matrices symmetric under floating-point drift.

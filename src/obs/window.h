@@ -172,11 +172,7 @@ class WindowRegistry {
       channels_;
 };
 
-/// Null-safe resolution and updates, mirroring the metrics.h helpers.
-inline WindowedChannel* GetWindowChannel(WindowRegistry* windows,
-                                         std::string_view name) {
-  return windows == nullptr ? nullptr : windows->channel(name);
-}
+/// Null-safe updates, mirroring the metrics.h helpers.
 inline void Record(WindowedChannel* channel, double value,
                    bool error = false) {
   if (channel != nullptr) channel->Record(value, error);

@@ -120,7 +120,6 @@ TrendService::TrendService(const trend::PipelineConfig& config,
                            store::ClaimStore store)
     : config_(config), context_(context), store_(std::move(store)),
       windows_(std::make_unique<obs::WindowRegistry>()) {
-  context_.store = &store_;
   // One metric row per registry op plus the unknown-op catch-all,
   // pre-resolved once so the query path never takes the metrics
   // registry's name-resolution mutex.
@@ -565,7 +564,6 @@ Result<JsonValue> TrendService::HandleIngest(const JsonValue& request) {
                                 context_.metrics));
     appended = reopened.num_months() - before;
     store_ = std::move(reopened);
-    context_.store = &store_;
   }
   MIC_ASSIGN_OR_RETURN(
       const WorldSnapshot* next,

@@ -54,6 +54,10 @@
 #include "trend/pipeline.h"
 #include "trend/trend_analyzer.h"
 
+namespace mic::store {
+class ClaimStore;
+}  // namespace mic::store
+
 namespace mic::serve {
 
 /// One immutable, fully analyzed version of the world. Built off the

@@ -21,38 +21,6 @@ std::string_view SelectionCriterionName(SelectionCriterion criterion) {
   return "?";
 }
 
-std::optional<SharedAicMemo::Entry> SharedAicMemo::Lookup(
-    std::uint64_t series_key, int t_cp) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto series_it = entries_.find(series_key);
-  if (series_it == entries_.end()) return std::nullopt;
-  auto entry_it = series_it->second.find(t_cp);
-  if (entry_it == series_it->second.end()) return std::nullopt;
-  return entry_it->second;
-}
-
-void SharedAicMemo::Store(std::uint64_t series_key, int t_cp,
-                          const Entry& entry) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_[series_key].emplace(t_cp, entry);  // First writer wins.
-}
-
-bool SharedAicMemo::Contains(std::uint64_t series_key, int t_cp) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto series_it = entries_.find(series_key);
-  if (series_it == entries_.end()) return false;
-  return series_it->second.find(t_cp) != series_it->second.end();
-}
-
-std::size_t SharedAicMemo::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t total = 0;
-  for (const auto& [key, per_candidate] : entries_) {
-    total += per_candidate.size();
-  }
-  return total;
-}
-
 double InformationCriterion(double log_likelihood, int parameters, int n,
                             SelectionCriterion criterion) {
   const double k = static_cast<double>(parameters);
@@ -141,8 +109,6 @@ ChangePointDetector::ChangePointDetector(std::vector<double> series,
   obs::MetricsRegistry* metrics = options_.fit.metrics;
   pruned_counter_ =
       obs::GetCounter(metrics, "changepoint.candidates_pruned");
-  shared_memo_counter_ =
-      obs::GetCounter(metrics, "changepoint.shared_memo_hits");
   evaluations_counter_ =
       obs::GetCounter(metrics, "changepoint.aic_evaluations");
   exact_counter_ =
@@ -150,18 +116,6 @@ ChangePointDetector::ChangePointDetector(std::vector<double> series,
   approximate_counter_ =
       obs::GetCounter(metrics, "changepoint.approximate.aic_evaluations");
   multiple_counter_ = obs::GetCounter(metrics, "changepoint.multiple.fits");
-}
-
-void ChangePointDetector::ResetCache() {
-  aic_cache_.clear();
-  model_cache_.clear();
-  fits_performed_ = 0;
-  phase_ = SearchPhase::kIdle;
-  pending_.clear();
-  pending_set_.clear();
-  staged_.clear();
-  failed_this_search_.clear();
-  sweep_values_.clear();
 }
 
 double ChangePointDetector::CriterionOf(
@@ -184,103 +138,24 @@ Result<FittedStructuralModel> ChangePointDetector::FitWith(
   return fitted;
 }
 
-Result<double> ChangePointDetector::AicAt(int t_cp) {
-  auto it = aic_cache_.find(t_cp);
-  if (it != aic_cache_.end()) {
-    // Candidate answered from the memo: the search pruned a fit.
-    obs::Increment(pruned_counter_);
-    return it->second;
-  }
-  if (options_.shared_memo != nullptr) {
-    // A detector that ran earlier under the same key already fitted
-    // this candidate; adopt its verdict (criterion AND model, so
-    // Finalize returns the identical best_model). Neither an
-    // evaluation nor a fit is counted — nothing was computed.
-    auto shared =
-        options_.shared_memo->Lookup(options_.series_key, t_cp);
-    if (shared.has_value()) {
-      obs::Increment(shared_memo_counter_);
-      aic_cache_.emplace(t_cp, shared->criterion);
-      model_cache_.emplace(t_cp, std::move(shared->model));
-      return shared->criterion;
-    }
-  }
-  obs::Increment(evaluations_counter_);
-  obs::Increment(active_counter_);
-
-  if (t_cp == kNoChangePoint) {
-    MIC_ASSIGN_OR_RETURN(FittedStructuralModel fitted, FitWith({}));
-    const double criterion = CriterionOf(fitted);
-    if (options_.shared_memo != nullptr) {
-      options_.shared_memo->Store(options_.series_key, t_cp,
-                                  {criterion, fitted});
-    }
-    aic_cache_.emplace(t_cp, criterion);
-    model_cache_.emplace(t_cp, std::move(fitted));
-    return criterion;
-  }
-
-  // One fit per candidate kind; keep the criterion-best shape.
-  double best_criterion = std::numeric_limits<double>::infinity();
-  std::optional<FittedStructuralModel> best_fit;
-  Status last_error = Status::OK();
-  for (InterventionKind kind : options_.candidate_kinds) {
-    auto fitted = FitWith({{t_cp, kind}});
-    if (!fitted.ok()) {
-      last_error = fitted.status();
-      continue;
-    }
-    const double criterion = CriterionOf(*fitted);
-    if (criterion < best_criterion) {
-      best_criterion = criterion;
-      best_fit = std::move(fitted).value();
-    }
-  }
-  if (!best_fit.has_value()) {
-    return last_error.ok()
-               ? Status::InvalidArgument("no candidate kinds configured")
-               : last_error;
-  }
-  if (options_.shared_memo != nullptr) {
-    options_.shared_memo->Store(options_.series_key, t_cp,
-                                {best_criterion, *best_fit});
-  }
-  aic_cache_.emplace(t_cp, best_criterion);
-  model_cache_.emplace(t_cp, std::move(*best_fit));
-  return best_criterion;
-}
-
 bool ChangePointDetector::NeedsEvaluation(int t_cp) const {
-  if (aic_cache_.find(t_cp) != aic_cache_.end()) return false;
-  if (options_.shared_memo != nullptr &&
-      options_.shared_memo->Contains(options_.series_key, t_cp)) {
-    return false;
-  }
-  return true;
+  return !memo_.contains(t_cp);
 }
 
 void ChangePointDetector::Request(int t_cp) {
   if (pending_set_.insert(t_cp).second) pending_.push_back(t_cp);
 }
 
-std::optional<Result<double>> ChangePointDetector::MachineAicAt(int t_cp) {
-  auto it = aic_cache_.find(t_cp);
-  if (it != aic_cache_.end()) {
+std::optional<Result<double>> ChangePointDetector::AicAt(int t_cp) {
+  auto it = memo_.find(t_cp);
+  if (it != memo_.end()) {
+    // Candidate answered from the memo: the search pruned a fit.
     obs::Increment(pruned_counter_);
-    return Result<double>(it->second);
+    return Result<double>(it->second.criterion);
   }
   auto failed = failed_this_search_.find(t_cp);
   if (failed != failed_this_search_.end()) {
     return Result<double>(failed->second);
-  }
-  if (options_.shared_memo != nullptr) {
-    auto shared = options_.shared_memo->Lookup(options_.series_key, t_cp);
-    if (shared.has_value()) {
-      obs::Increment(shared_memo_counter_);
-      aic_cache_.emplace(t_cp, shared->criterion);
-      model_cache_.emplace(t_cp, std::move(shared->model));
-      return Result<double>(shared->criterion);
-    }
   }
   auto staged = staged_.find(t_cp);
   if (staged == staged_.end()) {
@@ -288,9 +163,8 @@ std::optional<Result<double>> ChangePointDetector::MachineAicAt(int t_cp) {
     return std::nullopt;
   }
 
-  // This is where the serial algorithm would have fitted the candidate:
-  // consume the staged evaluation and perform the bookkeeping the fit
-  // would have done, in the same order.
+  // Consume the staged evaluation and do the fit's bookkeeping here, at
+  // the point in the algorithm where the candidate is needed.
   obs::Increment(evaluations_counter_);
   obs::Increment(active_counter_);
   Result<CandidateEvaluation> evaluation = std::move(staged->second);
@@ -311,12 +185,7 @@ std::optional<Result<double>> ChangePointDetector::MachineAicAt(int t_cp) {
     obs::Increment(obs::GetCounter(metrics, "ssm.kalman_passes"),
                    eval.kalman_passes);
   }
-  if (options_.shared_memo != nullptr) {
-    options_.shared_memo->Store(options_.series_key, t_cp,
-                                {eval.criterion, eval.model});
-  }
-  aic_cache_.emplace(t_cp, eval.criterion);
-  model_cache_.emplace(t_cp, std::move(eval.model));
+  memo_.emplace(t_cp, CandidateFit{eval.criterion, std::move(eval.model)});
   return Result<double>(eval.criterion);
 }
 
@@ -369,15 +238,14 @@ void ChangePointDetector::BeginSearch(bool approximate) {
   obs::Increment(
       obs::GetCounter(options_.fit.metrics, "changepoint.exact.searches"));
   phase_ = SearchPhase::kExactSweep;
-  // Pass 1: answer what the caches can (with the counters the serial
-  // sweep would bump at each hit) and queue everything else as one
-  // batch.
+  // Pass 1: answer what the memo can (each hit counts as a prune) and
+  // queue everything else as one batch.
   for (int t = options_.min_candidate; t < search_n_; ++t) {
     if (NeedsEvaluation(t)) {
       Request(t);
       continue;
     }
-    auto value = MachineAicAt(t);
+    auto value = AicAt(t);
     if (value.has_value() && value->ok()) {
       sweep_values_.emplace(t, **value);
     }
@@ -391,13 +259,13 @@ void ChangePointDetector::AdvanceSearch() {
   switch (phase_) {
     case SearchPhase::kExactSweep: {
       // Pass 2: consume the supplied sweep candidates in ascending
-      // order; failed candidates are skipped like the serial sweep's.
+      // order; failed candidates are skipped.
       for (int t = options_.min_candidate; t < search_n_; ++t) {
         if (sweep_values_.find(t) != sweep_values_.end() ||
             failed_this_search_.find(t) != failed_this_search_.end()) {
           continue;
         }
-        auto value = MachineAicAt(t);
+        auto value = AicAt(t);
         if (!value.has_value()) return;  // Still pending (defensive).
         if (value->ok()) sweep_values_.emplace(t, **value);
       }
@@ -422,7 +290,7 @@ void ChangePointDetector::AdvanceSearch() {
       while (bisect_right_ - bisect_left_ > 1) {
         const int middle = (bisect_left_ + bisect_right_) / 2;
         if (!bisect_left_value_.has_value()) {
-          auto value = MachineAicAt(bisect_left_);
+          auto value = AicAt(bisect_left_);
           if (value.has_value()) {
             if (!value->ok()) {
               FailSearch(value->status());
@@ -436,7 +304,7 @@ void ChangePointDetector::AdvanceSearch() {
           return;  // Blocked on the left endpoint.
         }
         if (!bisect_right_value_.has_value()) {
-          auto value = MachineAicAt(bisect_right_);
+          auto value = AicAt(bisect_right_);
           if (value.has_value()) {
             if (!value->ok()) {
               FailSearch(value->status());
@@ -459,9 +327,9 @@ void ChangePointDetector::AdvanceSearch() {
       return;
     }
     case SearchPhase::kFinalEval: {
-      // The serial post-loop AicAt(left) / AicAt(right) comparison.
+      // The post-loop AicAt(left) / AicAt(right) comparison.
       if (!bisect_left_value_.has_value()) {
-        auto value = MachineAicAt(bisect_left_);
+        auto value = AicAt(bisect_left_);
         if (value.has_value()) {
           if (!value->ok()) {
             FailSearch(value->status());
@@ -475,7 +343,7 @@ void ChangePointDetector::AdvanceSearch() {
         return;
       }
       if (!bisect_right_value_.has_value()) {
-        auto value = MachineAicAt(bisect_right_);
+        auto value = AicAt(bisect_right_);
         if (value.has_value()) {
           if (!value->ok()) {
             FailSearch(value->status());
@@ -548,17 +416,16 @@ Result<ChangePointResult> ChangePointDetector::DriveSearch() {
 
 Result<ChangePointResult> ChangePointDetector::Finalize(int best_candidate) {
   // Final comparison against the no-intervention model (the paper's
-  // t = infinity candidate). Both values resolve from the caches or the
-  // staged evaluations; the counter effects land exactly where the
-  // serial algorithm's AicAt calls would put them.
-  auto without = MachineAicAt(kNoChangePoint);
+  // t = infinity candidate). Both values resolve from the memo or the
+  // staged evaluations.
+  auto without = AicAt(kNoChangePoint);
   if (!without.has_value()) {
     return Status::Internal(
         "change point search finished without the no-change fit");
   }
   if (!without->ok()) return without->status();
   const double aic_without = **without;
-  auto best = MachineAicAt(best_candidate);
+  auto best = AicAt(best_candidate);
   if (!best.has_value()) {
     return Status::Internal(
         "change point search finished without the best-candidate fit");
@@ -574,7 +441,7 @@ Result<ChangePointResult> ChangePointDetector::Finalize(int best_candidate) {
     result.has_change = true;
     result.change_point = best_candidate;
     result.best_aic = aic_best;
-    result.best_model = model_cache_.at(best_candidate);
+    result.best_model = memo_.at(best_candidate).model;
     if (!result.best_model.spec.interventions.empty()) {
       result.kind = result.best_model.spec.interventions.front().kind;
     }
@@ -582,7 +449,7 @@ Result<ChangePointResult> ChangePointDetector::Finalize(int best_candidate) {
     result.has_change = false;
     result.change_point = kNoChangePoint;
     result.best_aic = aic_without;
-    result.best_model = model_cache_.at(kNoChangePoint);
+    result.best_model = memo_.at(kNoChangePoint).model;
   }
   return result;
 }
@@ -656,12 +523,15 @@ Result<MultiChangePointResult> ChangePointDetector::DetectMultiple(
 }
 
 Result<std::vector<double>> ChangePointDetector::AicCurve() {
-  active_counter_ = exact_counter_;
-  const int n = static_cast<int>(series_.size());
-  std::vector<double> curve(n, std::numeric_limits<double>::quiet_NaN());
-  for (int t = options_.min_candidate; t < n; ++t) {
-    auto aic = AicAt(t);
-    if (aic.ok()) curve[t] = *aic;
+  BeginSearch(/*approximate=*/false);
+  // The verdict is not part of the curve: a failed one (e.g. the
+  // no-change fit failing) still leaves every fitted candidate memoized.
+  (void)DriveSearch();
+  std::vector<double> curve(series_.size(),
+                            std::numeric_limits<double>::quiet_NaN());
+  for (int t = options_.min_candidate; t < search_n_; ++t) {
+    auto it = memo_.find(t);
+    if (it != memo_.end()) curve[t] = it->second.criterion;
   }
   return curve;
 }

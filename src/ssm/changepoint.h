@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -43,46 +42,6 @@ std::string_view SelectionCriterionName(SelectionCriterion criterion);
 /// observations.
 double InformationCriterion(double log_likelihood, int parameters, int n,
                             SelectionCriterion criterion);
-
-/// Criterion memo shared ACROSS detector instances: maps
-/// (series_key, candidate change point) to the fitted criterion and
-/// model. A detector given one via ChangePointOptions consults it
-/// before fitting and publishes what it fits, so Algorithm 1 and
-/// Algorithm 2 runs over the same series (e.g. the Table V
-/// exact-vs-approximate comparison, or repeated detections under one
-/// cache key) share every candidate fit instead of redoing it.
-///
-/// The caller owns the keying discipline: series_key must fingerprint
-/// the series AND every option that affects a fit (cache/fingerprint.h
-/// provides the hash). Entries are mutex-guarded, so concurrent
-/// detectors are memory-safe; hit/miss counters are deterministic only
-/// under sequential use, which is how the pipeline uses it.
-class SharedAicMemo {
- public:
-  struct Entry {
-    double criterion = 0.0;
-    FittedStructuralModel model;
-  };
-
-  /// Returns the entry for (series_key, t_cp), or nullopt on miss.
-  std::optional<Entry> Lookup(std::uint64_t series_key, int t_cp) const;
-
-  /// Presence probe without copying the entry (no counters either way;
-  /// used by the search planner to decide what to request).
-  bool Contains(std::uint64_t series_key, int t_cp) const;
-
-  /// Publishes an entry (first writer wins; later stores are no-ops,
-  /// which keeps concurrent detectors agreeing on one fitted model).
-  void Store(std::uint64_t series_key, int t_cp, const Entry& entry);
-
-  /// Entries currently held (test hook).
-  std::size_t size() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, std::unordered_map<int, Entry>>
-      entries_;
-};
 
 struct ChangePointOptions {
   /// Whether the underlying structural model carries a seasonal
@@ -112,14 +71,6 @@ struct ChangePointOptions {
       InterventionKind::kSlopeShift};
   /// Model selection criterion (the paper uses AIC).
   SelectionCriterion criterion = SelectionCriterion::kAic;
-  /// Optional cross-detector criterion memo (not owned). When set, a
-  /// candidate already fitted under `series_key` — by this detector OR
-  /// any earlier one sharing the memo — is answered without a fit and
-  /// counted under changepoint.shared_memo_hits.
-  SharedAicMemo* shared_memo = nullptr;
-  /// Key the shared memo entries live under; must fingerprint the
-  /// series and the fit-affecting options (see SharedAicMemo docs).
-  std::uint64_t series_key = 0;
 };
 
 struct ChangePointResult {
@@ -159,10 +110,11 @@ struct CandidateEvaluation {
   std::uint64_t kalman_passes = 0;
 };
 
-/// Fits candidate `t_cp` (kNoChangePoint = the no-intervention model)
-/// exactly as ChangePointDetector::AicAt would: one fit per candidate
-/// kind, keeping the criterion-best. Pure function of its arguments —
-/// no detector state, no shared memo, no metrics registry writes
+/// Fits candidate `t_cp` (kNoChangePoint = the no-intervention model):
+/// one fit per candidate kind, keeping the criterion-best. Every
+/// single-break candidate a detector scores (DetectExact,
+/// DetectApproximate, AicCurve) is fitted here. Pure function of its
+/// arguments — no detector state, no metrics registry writes
 /// (options.fit.metrics is ignored; deltas come back in the result) —
 /// so concurrent calls over different candidates are safe and
 /// bit-deterministic.
@@ -211,7 +163,11 @@ class ChangePointDetector {
   Result<MultiChangePointResult> DetectMultiple(int max_breaks);
 
   /// Criterion value as a function of the assumed change point — the
-  /// curve of Fig. 5b. Runs the exact sweep as a side effect.
+  /// curve of Fig. 5b: the per-candidate values of an exact search
+  /// (DetectExact's, so a later DetectExact fits nothing). Entry t is
+  /// NaN when t lies outside the searched range
+  /// [min_candidate, T - min_tail + 1) or its fit failed; a failed
+  /// verdict (e.g. the no-change fit failing) still yields the curve.
   Result<std::vector<double>> AicCurve();
 
   // --- Resumable candidate-level search -----------------------------
@@ -231,7 +187,7 @@ class ChangePointDetector {
   //   }
   //   result = detector.FinishSearch();
   //
-  // All detector-side effects (fit counts, metrics, memo publication)
+  // All detector-side effects (fit counts, metrics, memo updates)
   // happen inside SupplyEvaluation/FinishSearch on the supplying
   // thread, in the exact order the serial algorithms would have
   // produced them — a search driven this way is bit- and
@@ -263,9 +219,6 @@ class ChangePointDetector {
   /// The series this detector owns (as passed in, e.g. normalized).
   const std::vector<double>& series() const { return series_; }
 
-  /// Clears the memo (e.g. to time exact and approximate independently).
-  void ResetCache();
-
  private:
   enum class SearchPhase {
     kIdle = 0,
@@ -276,20 +229,23 @@ class ChangePointDetector {
     kFailed,       // a required evaluation failed; FinishSearch errors
   };
 
+  /// A fitted candidate: the criterion under the BEST candidate kind
+  /// and the corresponding model.
+  struct CandidateFit {
+    double criterion = 0.0;
+    FittedStructuralModel model;
+  };
+
   /// Memoized criterion of the model with change point `t_cp`
-  /// (kNoChangePoint = no intervention) under the BEST candidate kind.
-  Result<double> AicAt(int t_cp);
+  /// (kNoChangePoint = no intervention): answers from the memo (counted
+  /// as a pruned candidate) or consumes a staged evaluation (bumping
+  /// the evaluation counters and folding in the deferred fit metrics).
+  /// Returns nullopt — after queueing the candidate on pending_ — when
+  /// a fit is needed.
+  std::optional<Result<double>> AicAt(int t_cp);
 
-  /// The search-machine twin of AicAt: answers from the caches (with
-  /// the same counters AicAt would bump) or consumes a staged
-  /// evaluation (bumping the evaluation counters and folding in the
-  /// deferred fit metrics, exactly as the serial fit-at-call-site
-  /// would). Returns nullopt — after queueing the candidate on
-  /// pending_ — when a fit is needed.
-  std::optional<Result<double>> MachineAicAt(int t_cp);
-
-  /// Whether a search would have to fit `t_cp` (no cache, no memo).
-  /// Counter-neutral, unlike MachineAicAt.
+  /// Whether a search would have to fit `t_cp`. Counter-neutral,
+  /// unlike AicAt.
   bool NeedsEvaluation(int t_cp) const;
 
   /// Queues a candidate for evaluation (deduplicated).
@@ -318,10 +274,8 @@ class ChangePointDetector {
 
   std::vector<double> series_;
   ChangePointOptions options_;
-  /// Keyed by change point; holds the best criterion over the
-  /// candidate kinds and the corresponding fitted model.
-  std::unordered_map<int, double> aic_cache_;
-  std::unordered_map<int, FittedStructuralModel> model_cache_;
+  /// The memo, keyed by change point.
+  std::unordered_map<int, CandidateFit> memo_;
   int fits_performed_ = 0;
 
   // --- Search-machine state (live between BeginSearch/FinishSearch).
@@ -350,7 +304,6 @@ class ChangePointDetector {
   // points at the per-algorithm evaluation counter of the search
   // currently running.
   obs::Counter* pruned_counter_ = nullptr;
-  obs::Counter* shared_memo_counter_ = nullptr;
   obs::Counter* evaluations_counter_ = nullptr;
   obs::Counter* exact_counter_ = nullptr;
   obs::Counter* approximate_counter_ = nullptr;

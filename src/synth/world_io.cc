@@ -376,11 +376,4 @@ Status WriteWorldConfig(const WorldConfig& config, std::ostream& out) {
   return Status::OK();
 }
 
-Status WriteWorldConfigFile(const WorldConfig& config,
-                            const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  return WriteWorldConfig(config, out);
-}
-
 }  // namespace mic::synth

@@ -36,8 +36,6 @@ Result<WorldConfig> ReadWorldConfigFile(const std::string& path);
 /// Writes `config` in the same format (round-trips through
 /// ReadWorldConfig).
 Status WriteWorldConfig(const WorldConfig& config, std::ostream& out);
-Status WriteWorldConfigFile(const WorldConfig& config,
-                            const std::string& path);
 
 }  // namespace mic::synth
 

@@ -362,7 +362,7 @@ Result<DrillDownReport> BuildDrillDown(const ExecContext& context,
   std::vector<SweepItem> sweep(uncached.size());
   for (std::size_t j = 0; j < uncached.size(); ++j) {
     DrillNode& node = drill.nodes[pending[uncached[j]]];
-    sweep[j].series = &node.series;
+    sweep[j].series = node.series;
     sweep[j].analysis.kind = kind;
   }
   TrendAnalyzer analyzer(options);

@@ -55,48 +55,17 @@ std::size_t TrendReport::CountChanges(SeriesKind kind) const {
 Result<SeriesAnalysis> TrendAnalyzer::AnalyzeSeries(
     const ExecContext& context, SeriesKind kind, DiseaseId d, MedicineId m,
     std::span<const double> series) const {
-  SeriesAnalysis analysis;
-  analysis.kind = kind;
-  analysis.disease = d;
-  analysis.medicine = m;
-
-  // The single working copy on this hot path; the detector takes
-  // ownership and keeps serving it via series().
-  std::vector<double> working(series.begin(), series.end());
-  if (options_.normalize) {
-    const double sd = stats::StdDev(working);
-    if (sd > 0.0) {
-      analysis.scale = sd;
-      for (double& value : working) value /= sd;
-    }
-  }
-
-  ssm::ChangePointOptions detector_options = options_.detector;
-  if (context.metrics != nullptr) {
-    detector_options.fit.metrics = context.metrics;
-  }
-  ssm::ChangePointDetector detector(std::move(working), detector_options);
-  Result<ssm::ChangePointResult> detected =
-      options_.use_approximate ? detector.DetectApproximate()
-                               : detector.DetectExact();
-  MIC_RETURN_IF_ERROR(detected.status());
-
-  analysis.has_change = detected->has_change;
-  analysis.change_point = detected->change_point;
-  analysis.aic = detected->best_aic;
-  analysis.aic_without_intervention = detected->aic_without_intervention;
-  analysis.fits_performed = detected->fits_performed;
-
-  if (detected->has_change) {
-    // The smoothed intervention coefficient, rescaled to original
-    // units; detector.series() is exactly the normalized series.
-    auto decomposition =
-        ssm::Decompose(detected->best_model, detector.series());
-    if (decomposition.ok()) {
-      analysis.lambda = decomposition->lambda * analysis.scale;
-    }
-  }
-  return analysis;
+  // A one-item sweep, fitted inline so it is safe inside a pool worker.
+  ExecContext inline_context = context;
+  inline_context.pool = nullptr;
+  SweepItem item;
+  item.series = series;
+  item.analysis.kind = kind;
+  item.analysis.disease = d;
+  item.analysis.medicine = m;
+  MIC_RETURN_IF_ERROR(SweepSeries(inline_context, {&item, 1}));
+  MIC_RETURN_IF_ERROR(item.status);
+  return std::move(item.analysis);
 }
 
 namespace {
@@ -209,8 +178,8 @@ namespace {
 // The detector owns the normalized working copy; `options` is the exact
 // option set the detector was constructed with, so a worker-side
 // EvaluateCandidate call fits precisely the models the detector planned
-// for. `analysis` carries the AnalyzeSeries preamble results (ids,
-// normalization scale) until FinishSearch fills in the verdict.
+// for. `analysis` carries the item's ids and normalization scale until
+// FinishSearch fills in the verdict.
 struct SweepSlot {
   SweepSlot(std::size_t task_index_in, const SeriesAnalysis& analysis_in,
             std::vector<double> working,
@@ -302,7 +271,7 @@ Result<TrendReport> TrendAnalyzer::AnalyzeAll(
     if (from_cache[i]) continue;
     const SeriesTask& task = tasks[i];
     SweepItem item;
-    item.series = task.series;
+    item.series = *task.series;
     item.analysis.kind = task.kind;
     item.analysis.disease = task.disease;
     item.analysis.medicine = task.medicine;
@@ -403,21 +372,21 @@ Status TrendAnalyzer::SweepSeries(const ExecContext& context,
   // handle directly (they do not inherit the span stack).
   obs::Timer* fit_timer = obs::GetTimer(metrics, "trend.series_fit");
 
-  // Candidate-level wavefront. One slot per item replicates the
-  // AnalyzeSeries preamble (normalization, metrics wiring) in item
-  // order and starts the resumable search; each round then gathers the
-  // pending candidate fits of ALL open searches into one batch for the
-  // pool. The pool therefore sees series x candidates-per-round
-  // independent fits instead of one opaque task per series — the serial
-  // per-series AIC sweep no longer starves it. All detector-side
-  // bookkeeping (counters, memo publication, fit accounting) happens in
-  // the serial fold-back below, in item order, so every verdict and
-  // counter is bit-identical to the serial path at any thread count.
+  // Candidate-level wavefront. One slot per item normalizes the series,
+  // wires metrics, and starts the resumable search, in item order; each
+  // round then gathers the pending candidate fits of ALL open searches
+  // into one batch for the pool. The pool therefore sees
+  // series x candidates-per-round independent fits instead of one
+  // opaque task per series — the serial per-series AIC sweep no longer
+  // starves it. All detector-side bookkeeping (counters, memo updates,
+  // fit accounting) happens in the serial fold-back below, in item
+  // order, so every verdict and counter is bit-identical to the serial
+  // path at any thread count.
   std::vector<std::unique_ptr<SweepSlot>> slots;
   slots.reserve(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
     SweepItem& item = items[i];
-    std::vector<double> working(item.series->begin(), item.series->end());
+    std::vector<double> working(item.series.begin(), item.series.end());
     if (options_.normalize) {
       const double sd = stats::StdDev(working);
       if (sd > 0.0) {
@@ -478,7 +447,7 @@ Status TrendAnalyzer::SweepSeries(const ExecContext& context,
     }
   }
 
-  // Close out each search with the AnalyzeSeries tail.
+  // Close out each search: the verdict, plus lambda in original units.
   for (auto& slot : slots) {
     SweepItem& item = items[slot->task_index];
     Result<ssm::ChangePointResult> detected = slot->detector.FinishSearch();

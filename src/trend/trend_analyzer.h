@@ -95,12 +95,12 @@ Result<SeriesAnalysis> DeserializeAnalysis(
     const std::vector<std::uint8_t>& payload);
 
 /// One series in a batch sweep (see TrendAnalyzer::SweepSeries).
-/// In: `series` points at the monthly values (must outlive the call) and
+/// In: `series` views the monthly values (must outlive the call) and
 /// `analysis.kind/disease/medicine` carry the caller's identity tags.
 /// Out: `analysis` holds the full verdict (scale, change point, AIC,
 /// lambda, fits) and `status` the per-series failure, if any.
 struct SweepItem {
-  const std::vector<double>* series = nullptr;
+  std::span<const double> series;
   SeriesAnalysis analysis;
   Status status;
 };
@@ -123,13 +123,14 @@ class TrendAnalyzer {
   explicit TrendAnalyzer(const TrendAnalyzerOptions& options = {})
       : options_(options) {}
 
-  /// Analyzes a single series (already reproduced). Context-first, like
-  /// every entry point: context.metrics flows into the per-series
-  /// ChangePointDetector (changepoint.* / ssm.* counters); the pool is
-  /// not consulted — a single series is always fitted serially, so this
-  /// is safe to call from inside a ParallelFor worker. Takes a view so
-  /// per-task callers never copy the series just to hand it over; the
-  /// one normalized working copy is made inside.
+  /// Analyzes a single series (already reproduced) as a one-item
+  /// SweepSeries, so its verdict is the one AnalyzeAll reports for the
+  /// same series. Context-first, like every entry point: context.metrics
+  /// receives the sweep's counters (changepoint.* / ssm.*); the pool is
+  /// not consulted — a single series is always fitted inline, so this is
+  /// safe to call from inside a ParallelFor worker. Takes a view so
+  /// callers never copy the series just to hand it over; the one
+  /// normalized working copy is made inside.
   ///
   /// (The former context-less convenience overloads are gone; pass
   /// ExecContext{} explicitly. See docs/usage_cookbook.md.)
@@ -152,7 +153,7 @@ class TrendAnalyzer {
   /// of one task per series whose internal sweep runs serially. All
   /// detector bookkeeping happens on the calling thread in task order,
   /// which keeps the report and every counter bit-identical at any
-  /// thread count (and identical to the serial AnalyzeSeries path).
+  /// thread count.
   ///
   /// context.cache (when attached) drives the dirty-set sweep: each
   /// series' analysis is keyed in the "series" namespace by a

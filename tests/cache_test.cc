@@ -15,7 +15,6 @@
 #include "medmodel/timeseries.h"
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
-#include "ssm/changepoint.h"
 #include "ssm/fit.h"
 #include "ssm/kalman.h"
 #include "synth/generator.h"
@@ -431,56 +430,6 @@ TEST(PipelineCacheTest, UnopenableCacheDirectoryDegradesToColdRun) {
   auto result = trend::RunPipeline(
       data->corpus, TinyWorldConfig(dir, cache::CacheMode::kReadWrite));
   EXPECT_TRUE(result.ok());
-}
-
-TEST(SharedAicMemoTest, MemoServesBothAlgorithmsWithoutChangingAnswers) {
-  std::vector<double> series(43);
-  for (int t = 0; t < 43; ++t) {
-    series[t] = 0.05 * t + (t >= 28 ? 0.4 * (t - 28) : 0.0) +
-                0.05 * std::sin(1.3 * t);
-  }
-
-  ssm::ChangePointOptions options;
-  options.seasonal = false;
-  options.fit.optimizer.max_evaluations = 150;
-
-  // Memo-free baselines: what each algorithm finds on its own.
-  auto baseline_exact = ssm::ChangePointDetector(series, options)
-                            .DetectExact();
-  auto baseline_approx = ssm::ChangePointDetector(series, options)
-                             .DetectApproximate();
-  ASSERT_TRUE(baseline_exact.ok());
-  ASSERT_TRUE(baseline_approx.ok());
-  EXPECT_TRUE(baseline_exact->has_change);
-
-  obs::MetricsRegistry metrics;
-  options.fit.metrics = &metrics;
-  ssm::SharedAicMemo memo;
-  options.shared_memo = &memo;
-  options.series_key = cache::FingerprintSeries(series);
-
-  ssm::ChangePointDetector exact(series, options);
-  auto exact_result = exact.DetectExact();
-  ASSERT_TRUE(exact_result.ok());
-  EXPECT_GT(exact.fits_performed(), 0);
-  EXPECT_GT(memo.size(), 0u);
-  // The memo never changes the math: same break, same criterion bits.
-  EXPECT_EQ(exact_result->has_change, baseline_exact->has_change);
-  EXPECT_EQ(exact_result->change_point, baseline_exact->change_point);
-  EXPECT_EQ(exact_result->best_aic, baseline_exact->best_aic);
-
-  // A fresh detector over the same series: every candidate Algorithm 2
-  // probes was already fitted by Algorithm 1, so its search runs
-  // fit-free off the shared memo — and still answers exactly what the
-  // memo-free Algorithm 2 answered.
-  ssm::ChangePointDetector approximate(series, options);
-  auto approx_result = approximate.DetectApproximate();
-  ASSERT_TRUE(approx_result.ok());
-  EXPECT_EQ(approximate.fits_performed(), 0);
-  EXPECT_GT(metrics.counter_value("changepoint.shared_memo_hits"), 0u);
-  EXPECT_EQ(approx_result->has_change, baseline_approx->has_change);
-  EXPECT_EQ(approx_result->change_point, baseline_approx->change_point);
-  EXPECT_EQ(approx_result->best_aic, baseline_approx->best_aic);
 }
 
 TEST(PipelineConfigTest, ValidateNamesTheOffendingFlag) {

@@ -133,13 +133,44 @@ TEST(ChangePointTest, AicCurveDipsAtTrueBreak) {
   EXPECT_GT((*curve)[5], (*curve)[argmin] + 2.0);
 }
 
+TEST(ChangePointTest, AicCurveIsTheExactSweep) {
+  const auto x = SlopeBreakSeries(43, 18, 1.5, 0.3, 23);
+  const ChangePointOptions options = FastOptions();
+  ChangePointDetector detector(x, options);
+  auto curve = detector.AicCurve();
+  ASSERT_TRUE(curve.ok());
+  ASSERT_EQ(curve->size(), x.size());
+  // t = 0 lies before min_candidate: never searched.
+  EXPECT_TRUE(std::isnan((*curve)[0]));
+  // Every searched entry is the criterion EvaluateCandidate fits.
+  for (int t = options.min_candidate; t < 43; ++t) {
+    auto evaluation = EvaluateCandidate(x, options, t);
+    ASSERT_TRUE(evaluation.ok());
+    EXPECT_EQ((*curve)[t], evaluation->criterion) << "t = " << t;
+  }
+  // The curve was the exact search itself, no-change fit included.
+  const int fits_after_curve = detector.fits_performed();
+  ASSERT_TRUE(detector.DetectExact().ok());
+  EXPECT_EQ(detector.fits_performed(), fits_after_curve);
+}
+
 TEST(ChangePointTest, CacheMakesSecondRunFree) {
   const auto x = SlopeBreakSeries(43, 20, 1.0, 0.4, 29);
   ChangePointDetector detector(x, FastOptions());
   ASSERT_TRUE(detector.DetectExact().ok());
   const int fits_after_exact = detector.fits_performed();
-  ASSERT_TRUE(detector.DetectApproximate().ok());
+  auto memoized = detector.DetectApproximate();
+  ASSERT_TRUE(memoized.ok());
   EXPECT_EQ(detector.fits_performed(), fits_after_exact);
+  // A memo hit never changes an answer: the approximate search answered
+  // from the exact run's fits agrees bit for bit with a fresh one.
+  auto fresh = ChangePointDetector(x, FastOptions()).DetectApproximate();
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(memoized->has_change, fresh->has_change);
+  EXPECT_EQ(memoized->change_point, fresh->change_point);
+  EXPECT_EQ(memoized->best_aic, fresh->best_aic);
+  EXPECT_EQ(memoized->aic_without_intervention,
+            fresh->aic_without_intervention);
 }
 
 // Property (paper Table VI: "no false-positive case exists ... due to
