@@ -150,6 +150,7 @@ store_smoke() {
     --out "$work/store12.csv" > /dev/null 2> "$work/ingest12.err"
   grep -q "ingested 12 months from store" "$work/ingest12.err"
   cmp "$work/csv12.csv" "$work/store12.csv"
+  cp -R "$work/store" "$work/store12"
   # Month 12 arrives: append extends the store in place, and the
   # store-backed report tracks the grown world.
   build/tools/mictrend import --corpus "$work/corpus13.csv" \
@@ -162,7 +163,30 @@ store_smoke() {
     --out "$work/store13.csv" > /dev/null 2> "$work/ingest13.err"
   grep -q "ingested 13 months from store" "$work/ingest13.err"
   cmp "$work/csv13.csv" "$work/store13.csv"
+  # Interrupted append: a crash after month 12's segment and dictionary
+  # are written but before the MANIFEST commit must leave the 12-month
+  # world. One month-12 patient is renamed so the dictionary changes.
+  awk -F, 'BEGIN { OFS = "," }
+    NR > 1 && $1 == 12 && !renamed { $3 = "patient-renamed"; renamed = 1 }
+    { print }' "$work/corpus13.csv" > "$work/corpus13r.csv"
+  cp -R "$work/store12" "$work/appended"
+  build/tools/mictrend import --corpus "$work/corpus13r.csv" \
+    --hospitals "$work/hospitals.csv" --store-dir "$work/appended" \
+    --append | grep -q "imported 1 of 13 months"
+  cp -R "$work/store12" "$work/torn"
+  cp "$work/appended/m0012.seg" "$work"/appended/dict-*.seg "$work/torn/"
+  test "$(ls "$work"/torn/dict-*.seg | wc -l)" -eq 2
+  build/tools/mictrend pipeline --corpus "$work/corpus12.csv" \
+    --store-dir "$work/torn" --min-total 5 --seasonal false \
+    --out "$work/torn12.csv" > /dev/null 2> "$work/torn12.err"
+  grep -q "ingested 12 months from store" "$work/torn12.err"
+  if grep -q "store ingest failed" "$work/torn12.err"; then
+    cat "$work/torn12.err" >&2
+    exit 1
+  fi
+  cmp "$work/csv12.csv" "$work/torn12.csv"
   echo "store-smoke OK: store-backed reports byte-identical through append"
+  echo "store-smoke OK: an append cut before its MANIFEST commit reads as 12 months"
 }
 
 # The mictrend serve gate: start the daemon on a 12-month store, ingest

@@ -1,59 +1,13 @@
 #include "cache/cache_store.h"
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <functional>
 #include <system_error>
-#include <thread>
 
 #include "cache/fingerprint.h"
+#include "cache/sealed_file.h"
 #include "obs/metrics.h"
 
 namespace mic::cache {
-namespace {
-
-// Entry envelope: magic, format version, payload checksum, payload
-// size, payload bytes. The checksum is the FNV digest of the payload,
-// so a torn or bit-flipped entry is detected before deserialization.
-constexpr std::uint32_t kMagic = 0x4d494343;  // "MICC"
-constexpr std::uint32_t kFormatVersion = 1;
-
-std::uint64_t PayloadChecksum(const std::vector<std::uint8_t>& payload) {
-  Hasher hasher;
-  hasher.Mix(payload.size());
-  for (std::uint8_t byte : payload) {
-    hasher.Mix(byte);
-  }
-  return hasher.digest();
-}
-
-void AppendU32(std::string& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xffu));
-  }
-}
-
-void AppendU64(std::string& out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xffu));
-  }
-}
-
-std::uint64_t ReadFixed(const std::string& bytes, std::size_t offset,
-                        std::size_t width) {
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < width; ++i) {
-    value |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(bytes[offset + i]))
-             << (8 * i);
-  }
-  return value;
-}
-
-constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 8;
-
-}  // namespace
 
 Result<CacheMode> ParseCacheMode(std::string_view text) {
   if (text == "off") return CacheMode::kOff;
@@ -141,54 +95,23 @@ Result<std::vector<std::uint8_t>> CacheStore::Get(std::string_view ns,
     return Status::NotFound("cache is not readable in mode '" +
                             std::string(CacheModeName(mode_)) + "'");
   }
+  // A missing entry or one of another format version (NotFound) is a
+  // plain miss; anything else is a corrupt or unreadable entry.
+  const auto miss = [this](Status status) {
+    obs::Increment(misses_);
+    if (status.code() != StatusCode::kNotFound) {
+      obs::Increment(read_errors_);
+    }
+    return status;
+  };
   const std::string path = EntryPath(ns, key);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    obs::Increment(misses_);
-    return Status::NotFound("no cache entry at " + path);
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    obs::Increment(misses_);
-    obs::Increment(read_errors_);
-    return Status::IoError("failed reading cache entry " + path);
-  }
-  if (bytes.size() < kHeaderSize) {
-    obs::Increment(misses_);
-    obs::Increment(read_errors_);
-    return Status::FailedPrecondition("truncated cache entry " + path);
-  }
-  if (ReadFixed(bytes, 0, 4) != kMagic) {
-    obs::Increment(misses_);
-    obs::Increment(read_errors_);
-    return Status::FailedPrecondition("bad magic in cache entry " + path);
-  }
-  if (ReadFixed(bytes, 4, 4) != kFormatVersion) {
-    // A future format bump reads as a plain miss: old entries are
-    // simply recomputed under the new version.
-    obs::Increment(misses_);
-    return Status::NotFound("cache entry " + path +
-                            " has an unsupported format version");
-  }
-  const std::uint64_t checksum = ReadFixed(bytes, 8, 8);
-  const std::uint64_t payload_size = ReadFixed(bytes, 16, 8);
-  if (bytes.size() - kHeaderSize != payload_size) {
-    obs::Increment(misses_);
-    obs::Increment(read_errors_);
-    return Status::FailedPrecondition("truncated cache entry " + path);
-  }
-  std::vector<std::uint8_t> payload(bytes.begin() + kHeaderSize,
-                                    bytes.end());
-  if (PayloadChecksum(payload) != checksum) {
-    obs::Increment(misses_);
-    obs::Increment(read_errors_);
-    return Status::FailedPrecondition("checksum mismatch in cache entry " +
-                                      path);
-  }
+  auto file = ReadFile(path);
+  if (!file.ok()) return miss(file.status());
+  auto payload = Unseal(SealedKind::kCacheEntry, *file, path);
+  if (!payload.ok()) return miss(payload.status());
   obs::Increment(hits_);
-  obs::Increment(bytes_read_, bytes.size());
-  return payload;
+  obs::Increment(bytes_read_, file->size());
+  return std::vector<std::uint8_t>(payload->begin(), payload->end());
 }
 
 Status CacheStore::Put(std::string_view ns, std::uint64_t key,
@@ -202,41 +125,12 @@ Status CacheStore::Put(std::string_view ns, std::uint64_t key,
     return Status::IoError("cannot create cache namespace '" + dir +
                            "': " + error.message());
   }
-
-  std::string bytes;
-  bytes.reserve(kHeaderSize + payload.size());
-  AppendU32(bytes, kMagic);
-  AppendU32(bytes, kFormatVersion);
-  AppendU64(bytes, PayloadChecksum(payload));
-  AppendU64(bytes, payload.size());
-  bytes.append(reinterpret_cast<const char*>(payload.data()),
-               payload.size());
-
-  // Stage + rename so a reader never observes a half-written entry.
-  // The temp name embeds the writing thread; concurrent writers of the
-  // same key carry identical content-addressed bytes, so either rename
-  // winning is fine.
-  const std::string path = EntryPath(ns, key);
-  const std::string tmp =
-      path + ".tmp" +
-      std::to_string(std::hash<std::thread::id>{}(std::this_thread::get_id()));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IoError("cannot open cache temp file " + tmp);
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out.good()) {
-      out.close();
-      std::remove(tmp.c_str());
-      return Status::IoError("failed writing cache entry " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("cannot publish cache entry " + path);
-  }
-  obs::Increment(bytes_written_, bytes.size());
+  // Concurrent writers of the same key carry identical
+  // content-addressed bytes, so either publish winning is fine.
+  const std::vector<std::uint8_t> file =
+      Seal(SealedKind::kCacheEntry, payload);
+  MIC_RETURN_IF_ERROR(PublishFile(EntryPath(ns, key), file));
+  obs::Increment(bytes_written_, file.size());
   return Status::OK();
 }
 

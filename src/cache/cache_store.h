@@ -3,18 +3,20 @@
 //
 // Entries live under `<directory>/<namespace>/<key-hex>.snap`, where the
 // namespace names the artifact kind ("em" for fitted medication-model
-// snapshots, "series" for per-series analysis reports) and the key is a
+// snapshots, "series" for per-series analysis reports, "drill" for
+// drill-down aggregate verdicts) and the key is a
 // cache::Hasher fingerprint of everything the artifact depends on. A
 // key therefore identifies its content: entries are never updated in
 // place and never invalidated explicitly — a changed input simply hashes
-// to a different key and the stale entry is ignored.
+// to a different key and the stale entry is ignored. Each entry is a
+// sealed file (cache/sealed_file.h) of kind kCacheEntry.
 //
 // Failure policy: the cache is an accelerator, not a source of truth.
 // Every read failure — missing entry, truncated file, checksum or
 // version mismatch, I/O error — surfaces as a non-OK Result that the
 // caller treats as a miss and recomputes cold; write failures are
 // reported but never abort a run. Concurrent writers are safe: Put
-// stages through a per-key temp file and renames into place.
+// publishes through a per-thread temp file and a rename.
 //
 // When a MetricsRegistry is attached, the store exports
 // cache.hits / cache.misses / cache.read_errors / cache.bytes_read /
@@ -66,9 +68,10 @@ class CacheStore {
   const std::string& directory() const { return directory_; }
 
   /// Looks up an entry. Returns the payload on a verified hit; NotFound
-  /// on a miss; FailedPrecondition/IoError when an entry exists but is
-  /// corrupt or unreadable (counted as cache.read_errors). Callers
-  /// treat every non-OK result as "recompute cold".
+  /// on a miss, including an entry of another format version;
+  /// FailedPrecondition/IoError when an entry exists but is corrupt or
+  /// unreadable (counted as cache.read_errors). Callers treat every
+  /// non-OK result as "recompute cold".
   Result<std::vector<std::uint8_t>> Get(std::string_view ns,
                                         std::uint64_t key);
 

@@ -31,7 +31,7 @@ class Hasher {
   Hasher& MixDouble(double value);
   Hasher& MixString(std::string_view text);
   /// Folds a raw byte run in one call (one FNV step per byte, not
-  /// eight) — the claim store checksums whole segments through this.
+  /// eight) — the claim store fingerprints its dictionary through this.
   Hasher& MixBytes(const std::uint8_t* data, std::size_t size);
 
   std::uint64_t digest() const { return state_; }

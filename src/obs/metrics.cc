@@ -180,37 +180,6 @@ std::string MetricsRegistry::ToJson() const {
   return out;
 }
 
-std::string MetricsRegistry::ToCsv() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "kind,name,field,value\n";
-  for (const auto& [name, counter] : counters_) {
-    out += "counter," + name + ",value," + FormatUint(counter->value()) +
-           '\n';
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    out += "gauge," + name + ",value," + FormatDouble(gauge->value()) +
-           '\n';
-  }
-  for (const auto& [name, timer] : timers_) {
-    out += "timer," + name + ",count," + FormatUint(timer->count()) + '\n';
-    out += "timer," + name + ",seconds," + FormatDouble(timer->seconds()) +
-           '\n';
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    out += "histogram," + name + ",count," +
-           FormatUint(histogram->count()) + '\n';
-    out += "histogram," + name + ",sum," +
-           FormatDouble(histogram->sum()) + '\n';
-    const std::vector<double>& edges = histogram->edges();
-    for (std::size_t i = 0; i <= edges.size(); ++i) {
-      out += "histogram," + name + ",le_" +
-             (i < edges.size() ? FormatDouble(edges[i]) : "inf") + ',' +
-             FormatUint(histogram->bucket_count(i)) + '\n';
-    }
-  }
-  return out;
-}
-
 std::vector<std::pair<std::string, std::uint64_t>>
 MetricsRegistry::SnapshotCounters() const {
   std::lock_guard<std::mutex> lock(mu_);

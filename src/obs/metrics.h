@@ -165,9 +165,6 @@ class MetricsRegistry {
   /// the string harnesses compare across thread counts.
   std::string CountersToJson() const;
 
-  /// CSV snapshot, one `kind,name,field,value` row per scalar.
-  std::string ToCsv() const;
-
   /// Point-in-time copies of every metric, name-ascending. These feed
   /// exposition formats that need to iterate (the OpenMetrics renderer
   /// in openmetrics.h); the registry mutex is held only while copying.

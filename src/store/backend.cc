@@ -1,13 +1,8 @@
 #include "store/backend.h"
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <functional>
-#include <system_error>
-#include <thread>
+#include <vector>
 
-#include "cache/fingerprint.h"
+#include "cache/sealed_file.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MICTREND_STORE_HAS_MMAP 1
@@ -22,70 +17,15 @@
 namespace mic::store {
 namespace {
 
-// Segment envelope: magic, format version, payload checksum, payload
-// size, payload bytes — the cache-entry layout, reused so corruption
-// detection behaves identically across both on-disk formats.
-constexpr std::uint32_t kMagic = 0x4d494353;  // "MICS"
-constexpr std::uint32_t kFormatVersion = 1;
-constexpr std::size_t kEnvelopeSize = 4 + 4 + 8 + 8;
-
-// The checksum guards against torn writes and bit rot, not attackers:
-// a word-at-a-time FNV fold (one multiply per 8 payload bytes) keeps
-// verification cheap enough to run on every segment load. Words are
-// assembled little-endian so the digest is byte-order portable.
-std::uint64_t PayloadChecksum(const std::uint8_t* data, std::size_t size) {
-  constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-  std::uint64_t state = 14695981039346656037ull;
-  state = (state ^ size) * kFnvPrime;
-  std::size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    std::uint64_t word = 0;
-    for (int b = 0; b < 8; ++b) {
-      word |= static_cast<std::uint64_t>(data[i + b]) << (8 * b);
-    }
-    state = (state ^ word) * kFnvPrime;
-  }
-  std::uint64_t tail = 0;
-  for (int b = 0; i + b < size; ++b) {
-    tail |= static_cast<std::uint64_t>(data[i + b]) << (8 * b);
-  }
-  state = (state ^ tail) * kFnvPrime;
-  return state;
-}
-
-void AppendU32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((value >> shift) & 0xffu));
-  }
-}
-
-void AppendU64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((value >> shift) & 0xffu));
-  }
-}
-
-std::uint64_t ReadFixed(const std::uint8_t* bytes, std::size_t width) {
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < width; ++i) {
-    value |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
-  }
-  return value;
-}
-
 class FileBackend final : public StoreBackend {
  public:
   std::string_view name() const override { return "file"; }
 
   Result<SegmentView> Read(const std::string& path) override {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::NotFound("no store segment at " + path);
-    auto buffer = std::make_shared<std::vector<std::uint8_t>>(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof()) {
-      return Status::IoError("failed reading store segment " + path);
-    }
+    MIC_ASSIGN_OR_RETURN(std::vector<std::uint8_t> bytes,
+                         cache::ReadFile(path));
+    auto buffer =
+        std::make_shared<std::vector<std::uint8_t>>(std::move(bytes));
     SegmentView view;
     view.data = buffer->data();
     view.size = buffer->size();
@@ -184,72 +124,6 @@ Result<std::unique_ptr<StoreBackend>> MakeBackend(BackendKind kind) {
   }
 #endif
   return std::unique_ptr<StoreBackend>(new FileBackend());
-}
-
-Status AtomicWriteFile(const std::string& path,
-                       const std::vector<std::uint8_t>& bytes) {
-  const std::string tmp =
-      path + ".tmp" +
-      std::to_string(
-          std::hash<std::thread::id>{}(std::this_thread::get_id()));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot open store temp file " + tmp);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out.good()) {
-      out.close();
-      std::remove(tmp.c_str());
-      return Status::IoError("failed writing store file " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("cannot publish store file " + path);
-  }
-  return Status::OK();
-}
-
-std::vector<std::uint8_t> SealSegment(
-    const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(kEnvelopeSize + payload.size());
-  AppendU32(bytes, kMagic);
-  AppendU32(bytes, kFormatVersion);
-  AppendU64(bytes, PayloadChecksum(payload.data(), payload.size()));
-  AppendU64(bytes, payload.size());
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-  return bytes;
-}
-
-Result<SegmentView> UnsealSegment(const SegmentView& segment,
-                                  const std::string& path) {
-  if (segment.size < kEnvelopeSize) {
-    return Status::FailedPrecondition("truncated store segment " + path);
-  }
-  if (ReadFixed(segment.data, 4) != kMagic) {
-    return Status::FailedPrecondition("bad magic in store segment " +
-                                      path);
-  }
-  if (ReadFixed(segment.data + 4, 4) != kFormatVersion) {
-    return Status::NotFound("store segment " + path +
-                            " has an unsupported format version");
-  }
-  const std::uint64_t checksum = ReadFixed(segment.data + 8, 8);
-  const std::uint64_t payload_size = ReadFixed(segment.data + 16, 8);
-  if (segment.size - kEnvelopeSize != payload_size) {
-    return Status::FailedPrecondition("truncated store segment " + path);
-  }
-  const std::uint8_t* payload = segment.data + kEnvelopeSize;
-  if (PayloadChecksum(payload, payload_size) != checksum) {
-    return Status::FailedPrecondition("checksum mismatch in store segment " +
-                                      path);
-  }
-  SegmentView view;
-  view.data = payload;
-  view.size = static_cast<std::size_t>(payload_size);
-  view.owner = segment.owner;
-  return view;
 }
 
 }  // namespace mic::store

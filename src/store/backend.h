@@ -12,15 +12,11 @@
 //     kAuto resolves to mmap where POSIX mmap is available and degrades
 //     to file I/O everywhere else, with identical results.
 //
-// Writes are backend-independent (every backend produces the same
-// bytes): AtomicWriteFile stages through a temp file and renames into
-// place, the same publish idiom the cache store uses, so a reader never
-// observes a half-written segment.
-//
-// The segment envelope (SealSegment/UnsealSegment) wraps every payload
-// in a magic + format version + FNV-1a checksum header; a torn,
-// truncated, or bit-flipped segment surfaces as a non-OK Status that
-// callers treat as "this store is unusable, fall back to CSV".
+// Writes and the envelope are backend-independent: every file is a
+// sealed file (cache/sealed_file.h, kind kStoreFile), published through
+// a temp file and a rename; a torn, truncated, or bit-flipped file fails
+// the unseal, which callers treat as "this store is unusable, fall back
+// to CSV".
 
 #ifndef MICTREND_STORE_BACKEND_H_
 #define MICTREND_STORE_BACKEND_H_
@@ -29,7 +25,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/result.h"
 
@@ -69,23 +64,6 @@ class StoreBackend {
 /// Builds the backend for `kind`. kMmap fails with NotImplemented on
 /// platforms without mmap; kAuto never fails.
 Result<std::unique_ptr<StoreBackend>> MakeBackend(BackendKind kind);
-
-/// Writes `bytes` to `path` via a temp file + rename, so concurrent
-/// readers see either the old file or the complete new one.
-Status AtomicWriteFile(const std::string& path,
-                       const std::vector<std::uint8_t>& bytes);
-
-/// Wraps a payload in the segment envelope: magic, format version,
-/// payload checksum, payload size, payload bytes.
-std::vector<std::uint8_t> SealSegment(
-    const std::vector<std::uint8_t>& payload);
-
-/// Validates the envelope of a read segment and returns a view of its
-/// payload (sharing `segment`'s owner — no copy). FailedPrecondition on
-/// bad magic, truncation, or checksum mismatch; NotFound on a format
-/// version this build does not understand.
-Result<SegmentView> UnsealSegment(const SegmentView& segment,
-                                  const std::string& path);
 
 }  // namespace mic::store
 

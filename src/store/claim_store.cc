@@ -4,8 +4,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
+#include <utility>
 
 #include "cache/fingerprint.h"
+#include "cache/sealed_file.h"
 #include "cache/snapshot_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -165,7 +167,13 @@ std::string ClaimStore::ManifestPath() const {
   return directory_ + "/MANIFEST";
 }
 
-std::string ClaimStore::DictPath() const { return directory_ + "/dict.seg"; }
+std::string ClaimStore::DictPath(std::uint64_t fingerprint) const {
+  return directory_ + "/dict-" + cache::KeyToHex(fingerprint) + ".seg";
+}
+
+std::string ClaimStore::LegacyDictPath() const {
+  return directory_ + "/dict.seg";
+}
 
 std::string ClaimStore::MonthPath(std::size_t t) const {
   char name[32];
@@ -189,7 +197,8 @@ Result<SegmentView> ClaimStore::ReadSealed(const std::string& path) const {
     obs::Increment(read_errors_);
     return raw.status();
   }
-  auto payload = UnsealSegment(*raw, path);
+  auto payload = cache::Unseal(cache::SealedKind::kStoreFile,
+                               {raw->data, raw->size}, path);
   if (!payload.ok()) {
     obs::Increment(read_errors_);
     return payload.status();
@@ -200,14 +209,15 @@ Result<SegmentView> ClaimStore::ReadSealed(const std::string& path) const {
     obs::Add(obs::GetGauge(metrics_, "store.bytes_mapped"),
              static_cast<double>(raw->size));
   }
-  return payload;
+  return SegmentView{payload->data(), payload->size(), raw->owner};
 }
 
 Status ClaimStore::WriteSealed(
     const std::string& path,
     const std::vector<std::uint8_t>& payload) const {
-  const std::vector<std::uint8_t> sealed = SealSegment(payload);
-  MIC_RETURN_IF_ERROR(AtomicWriteFile(path, sealed));
+  const std::vector<std::uint8_t> sealed =
+      cache::Seal(cache::SealedKind::kStoreFile, payload);
+  MIC_RETURN_IF_ERROR(cache::PublishFile(path, sealed));
   obs::Increment(segments_written_);
   obs::Increment(bytes_written_, sealed.size());
   return Status::OK();
@@ -239,7 +249,7 @@ Status ClaimStore::WriteManifest() const {
   return WriteSealed(ManifestPath(), writer.bytes());
 }
 
-Status ClaimStore::WriteDict(const Catalog& catalog) {
+Result<std::uint64_t> ClaimStore::WriteDict(const Catalog& catalog) const {
   cache::SnapshotWriter writer;
   PutVocabulary(writer, catalog.diseases());
   PutVocabulary(writer, catalog.medicines());
@@ -257,7 +267,7 @@ Status ClaimStore::WriteDict(const Catalog& catalog) {
     }
   }
   const std::vector<std::uint8_t>& payload = writer.bytes();
-  dict_fingerprint_ = FingerprintBytes(payload);
+  const std::uint64_t fingerprint = FingerprintBytes(payload);
   obs::Set(obs::GetGauge(metrics_, "store.intern.diseases"),
            static_cast<double>(catalog.diseases().size()));
   obs::Set(obs::GetGauge(metrics_, "store.intern.medicines"),
@@ -266,15 +276,20 @@ Status ClaimStore::WriteDict(const Catalog& catalog) {
            static_cast<double>(catalog.hospitals().size()));
   obs::Set(obs::GetGauge(metrics_, "store.intern.patients"),
            static_cast<double>(catalog.patients().size()));
-  return WriteSealed(DictPath(), payload);
+  MIC_RETURN_IF_ERROR(WriteSealed(DictPath(fingerprint), payload));
+  return fingerprint;
 }
 
 Result<std::shared_ptr<Catalog>> ClaimStore::LoadDict() const {
-  MIC_ASSIGN_OR_RETURN(SegmentView payload, ReadSealed(DictPath()));
+  // Stores written before dictionaries were named by their fingerprint
+  // keep theirs in dict.seg.
+  std::string path = DictPath(dict_fingerprint_);
+  std::error_code error;
+  if (!std::filesystem::exists(path, error)) path = LegacyDictPath();
+  MIC_ASSIGN_OR_RETURN(SegmentView payload, ReadSealed(path));
   if (FingerprintBytes(payload.data, payload.size) != dict_fingerprint_) {
     return Status::FailedPrecondition(
-        "store dictionary does not match the manifest (torn append?): " +
-        DictPath());
+        "store dictionary does not match the manifest: " + path);
   }
   auto catalog = std::make_shared<Catalog>();
   cache::SnapshotReader reader(payload.data, payload.size);
@@ -294,7 +309,7 @@ Result<std::shared_ptr<Catalog>> ClaimStore::LoadDict() const {
   }
   if (!reader.AtEnd()) {
     return Status::FailedPrecondition(
-        "trailing bytes in store dictionary " + DictPath());
+        "trailing bytes in store dictionary " + path);
   }
   obs::Set(obs::GetGauge(metrics_, "store.intern.diseases"),
            static_cast<double>(catalog->diseases().size()));
@@ -341,16 +356,28 @@ Status ClaimStore::AppendMonth(const MonthlyDataset& month,
   MIC_RETURN_IF_ERROR(PutBagColumns(writer, records, &MicRecord::medicines,
                                     catalog.medicines().size()));
 
-  // Segment first, dictionaries second, manifest last: the manifest is
-  // the commit point, so a crash between any two writes leaves the
-  // previous consistent world (plus harmless orphan files).
+  // Segment first, dictionary second, manifest last. The manifest is the
+  // only commit point: the segment and the dictionary go to files the
+  // current manifest does not name (the next month's segment, the
+  // dictionary named by its new fingerprint), so a crash between any two
+  // writes leaves the previous world plus orphan files.
   MIC_RETURN_IF_ERROR(WriteSealed(MonthPath(num_months()), writer.bytes()));
-  MIC_RETURN_IF_ERROR(WriteDict(catalog));
+  MIC_ASSIGN_OR_RETURN(const std::uint64_t dict_fingerprint,
+                       WriteDict(catalog));
+  const std::uint64_t old_dict_fingerprint =
+      std::exchange(dict_fingerprint_, dict_fingerprint);
   month_fingerprints_.push_back(fingerprint);
   if (Status status = WriteManifest(); !status.ok()) {
     month_fingerprints_.pop_back();
+    dict_fingerprint_ = old_dict_fingerprint;
     return status;
   }
+  // Committed: the dictionary the manifest named before is garbage.
+  std::error_code error;
+  if (old_dict_fingerprint != dict_fingerprint) {
+    std::filesystem::remove(DictPath(old_dict_fingerprint), error);
+  }
+  std::filesystem::remove(LegacyDictPath(), error);
   obs::Increment(records_written_, records.size());
   return Status::OK();
 }

@@ -6,20 +6,23 @@
 //   <dir>/MANIFEST        num_months, the dictionary fingerprint, and
 //                         one content fingerprint per month (the commit
 //                         point: appends publish it last)
-//   <dir>/dict.seg        the interned id dictionaries — every
+//   <dir>/dict-<F>.seg    the interned id dictionaries — every
 //                         disease / medicine / hospital / city /
 //                         patient name in intern order, plus hospital
-//                         attributes — rewritten whole on append
+//                         attributes — named by the fingerprint F the
+//                         MANIFEST records; an append writes the new
+//                         one beside the old and removes the old one
+//                         after the commit (stores written before this
+//                         naming keep a single dict.seg)
 //   <dir>/m<NNNN>.seg     one columnar segment per month: the record
 //                         count, then dense u32 columns (hospital ids,
 //                         patient ids, bag offsets, bag ids, bag
 //                         multiplicities)
 //
-// Every file wears the checksummed, versioned segment envelope
-// (store/backend.h) and is published with a temp-file + rename, the
-// same snapshot-IO idioms as src/cache. How segment bytes get into
-// memory is pluggable (StoreBackend): memory-mapped by default,
-// plain file I/O as the portable fallback.
+// Every file is a sealed file of kind kStoreFile (cache/sealed_file.h):
+// checksummed, versioned, and published with a temp file + rename. How
+// segment bytes get into memory is pluggable (StoreBackend):
+// memory-mapped by default, plain file I/O as the portable fallback.
 //
 // Identity contract: loading a world from the store yields records
 // bit-identical to the corpus that was imported — same month order,
@@ -96,9 +99,10 @@ class ClaimStore {
 
   /// Appends the next month. `month.month()` must equal num_months()
   /// (months are consecutive from 0, matching MicCorpus), and every id
-  /// in its records must resolve in `catalog`. Persists the segment,
-  /// rewrites the dictionaries, then publishes the manifest — in that
-  /// order, so a crash mid-append leaves the previous consistent state.
+  /// in its records must resolve in `catalog`. Persists the segment and
+  /// the dictionary under names the current manifest does not use, then
+  /// publishes the manifest, so a crash anywhere mid-append leaves the
+  /// previous world.
   Status AppendMonth(const MonthlyDataset& month, const Catalog& catalog);
 
   /// Loads the first `count` months into a fresh corpus. The catalog is
@@ -116,7 +120,11 @@ class ClaimStore {
              obs::MetricsRegistry* metrics);
 
   std::string ManifestPath() const;
-  std::string DictPath() const;
+  /// The dictionary whose payload fingerprint is `fingerprint`.
+  std::string DictPath(std::uint64_t fingerprint) const;
+  /// Where stores written before dictionaries were named by their
+  /// fingerprint keep theirs; read only when the named one is absent.
+  std::string LegacyDictPath() const;
   std::string MonthPath(std::size_t t) const;
 
   /// Reads + unseals one store file; counts it into the read metrics.
@@ -126,7 +134,8 @@ class ClaimStore {
 
   Status LoadManifest();
   Status WriteManifest() const;
-  Status WriteDict(const Catalog& catalog);
+  /// Writes the dictionary and returns its fingerprint; commits nothing.
+  Result<std::uint64_t> WriteDict(const Catalog& catalog) const;
   Result<std::shared_ptr<Catalog>> LoadDict() const;
   Status LoadMonthInto(std::size_t t, MicCorpus& corpus) const;
 

@@ -5,9 +5,7 @@
 #include <cstdint>
 #include <utility>
 
-#include "cache/cache_store.h"
 #include "cache/fingerprint.h"
-#include "common/logging.h"
 #include "mic/catalog.h"
 #include "obs/trace.h"
 #include "stats/metrics.h"
@@ -295,15 +293,18 @@ Result<DrillDownReport> BuildDrillDown(const ExecContext& context,
   // --- Analyze every node. --------------------------------------------
   // Leaves with a flat-report row reuse it verbatim (their series are
   // exactly the rows AnalyzeAll fitted); everything else — internal
-  // aggregates, unmatched leaves, all hospital nodes — goes through the
-  // cache and then the wavefront. BuildTree stashed the flat index in
-  // analysis.fits_performed; consume and reset it here.
+  // aggregates, unmatched leaves, all hospital nodes — goes through
+  // SweepSeries, which answers unchanged aggregates from the "drill"
+  // cache namespace and fits the rest. BuildTree stashed the flat index
+  // in analysis.fits_performed; consume and reset it here.
   const std::vector<SeriesAnalysis>& flat_rows =
       axis == DrillAxis::kDisease ? report.diseases : report.medicines;
   const SeriesKind kind = AxisSeriesKind(axis);
+  const std::uint64_t options_key = FingerprintAnalyzerOptions(options);
   std::uint64_t leaf_reuses = 0;
 
-  std::vector<std::size_t> pending;  // Node indexes needing a verdict.
+  std::vector<std::size_t> pending;  // Node index of each sweep item.
+  std::vector<SweepItem> sweep;
   for (std::size_t i = 0; i < drill.nodes.size(); ++i) {
     DrillNode& node = drill.nodes[i];
     const int flat = node.analysis.fits_performed;
@@ -316,61 +317,17 @@ Result<DrillDownReport> BuildDrillDown(const ExecContext& context,
       continue;
     }
     pending.push_back(i);
+    SweepItem& item = sweep.emplace_back();
+    item.series = node.series;
+    item.key = FingerprintDrillNode(options_key, axis, node);
+    item.analysis.kind = kind;
   }
 
-  // Serial cache prepass in preorder, mirroring AnalyzeAll's dirty-set
-  // sweep (deterministic hit/miss accounting at any thread count).
-  cache::CacheStore* store = context.cache;
-  const bool cache_active =
-      store != nullptr && (store->can_read() || store->can_write());
-  std::vector<std::uint64_t> keys;
-  std::vector<std::size_t> uncached;
-  if (cache_active) {
-    const std::uint64_t options_key = FingerprintAnalyzerOptions(options);
-    keys.resize(pending.size());
-    std::uint64_t hits = 0;
-    for (std::size_t p = 0; p < pending.size(); ++p) {
-      DrillNode& node = drill.nodes[pending[p]];
-      keys[p] = FingerprintDrillNode(options_key, axis, node);
-      if (!store->can_read()) {
-        uncached.push_back(p);
-        continue;
-      }
-      auto payload = store->Get("drill", keys[p]);
-      if (payload.ok()) {
-        auto cached = DeserializeAnalysis(*payload);
-        if (cached.ok() && cached->kind == kind) {
-          node.analysis = std::move(*cached);
-          ++hits;
-          continue;
-        }
-      }
-      uncached.push_back(p);
-    }
-    if (metrics != nullptr) {
-      obs::Increment(obs::GetCounter(metrics, "trend.rollup.cache_hits"),
-                     hits);
-      obs::Increment(obs::GetCounter(metrics, "trend.rollup.cache_misses"),
-                     static_cast<std::uint64_t>(pending.size()) - hits);
-    }
-  } else {
-    uncached.resize(pending.size());
-    for (std::size_t p = 0; p < pending.size(); ++p) uncached[p] = p;
-  }
-
-  // Fit the remainder through the shared wavefront, in preorder.
-  std::vector<SweepItem> sweep(uncached.size());
-  for (std::size_t j = 0; j < uncached.size(); ++j) {
-    DrillNode& node = drill.nodes[pending[uncached[j]]];
-    sweep[j].series = node.series;
-    sweep[j].analysis.kind = kind;
-  }
   TrendAnalyzer analyzer(options);
-  MIC_RETURN_IF_ERROR(analyzer.SweepSeries(context, sweep));
+  MIC_RETURN_IF_ERROR(analyzer.SweepSeries(context, sweep,
+                                           {"drill", "trend.rollup.cache_"}));
   Status first_error = Status::OK();
-  for (std::size_t j = 0; j < uncached.size(); ++j) {
-    const std::size_t p = uncached[j];
-    DrillNode& node = drill.nodes[pending[p]];
+  for (std::size_t j = 0; j < sweep.size(); ++j) {
     if (!sweep[j].status.ok()) {
       // Mirror AnalyzeAll's policy: degenerate series keep their
       // no-change default, anything else fails the build.
@@ -380,14 +337,7 @@ Result<DrillDownReport> BuildDrillDown(const ExecContext& context,
       }
       continue;
     }
-    node.analysis = std::move(sweep[j].analysis);
-    if (cache_active && store->can_write()) {
-      Status put =
-          store->Put("drill", keys[p], SerializeAnalysis(node.analysis));
-      if (!put.ok()) {
-        MIC_LOG(Warning) << "drill cache write failed: " << put.ToString();
-      }
-    }
+    drill.nodes[pending[j]].analysis = std::move(sweep[j].analysis);
   }
   MIC_RETURN_IF_ERROR(first_error);
 

@@ -62,8 +62,10 @@ struct DrillNode {
   std::vector<double> series;
   double total = 0.0;
   /// Changepoint verdict for `series`. Medicine/disease-axis leaves
-  /// reuse the flat report's analysis; every other node is fitted on
-  /// its aggregate (through context.cache, namespace "drill").
+  /// reuse the flat report's analysis; every other node's aggregate
+  /// goes through TrendAnalyzer::SweepSeries, which answers it from the
+  /// "drill" cache namespace when context.cache holds it and fits it
+  /// otherwise.
   SeriesAnalysis analysis;
 };
 
@@ -87,11 +89,13 @@ struct DrillDownReport {
 /// corpus records (total medicine mentions per hospital per month) and
 /// fits every node. `options` must be the analyzer options the flat
 /// report was built with, both for verdict consistency and because they
-/// key the drill cache.
+/// key the drill cache: a node's "drill" key mixes their fingerprint, a
+/// drill-layout version, the axis, the node's name and its values.
 ///
 /// Counters (context.metrics): trend.rollup.nodes,
-/// trend.rollup.leaf_reuses, trend.rollup.cache_hits,
-/// trend.rollup.cache_misses, all under a "drilldown" span.
+/// trend.rollup.leaf_reuses, and — with a cache attached — SweepSeries'
+/// trend.rollup.cache_hits / trend.rollup.cache_misses, all under a
+/// "drilldown" span.
 Result<DrillDownReport> BuildDrillDown(const ExecContext& context,
                                        const MicCorpus& corpus,
                                        const medmodel::SeriesSet& series,

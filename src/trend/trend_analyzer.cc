@@ -13,7 +13,6 @@
 #include "obs/trace.h"
 #include "obs/trace_log.h"
 #include "runtime/thread_pool.h"
-#include "ssm/decompose.h"
 #include "stats/metrics.h"
 
 namespace mic::trend {
@@ -70,15 +69,6 @@ Result<SeriesAnalysis> TrendAnalyzer::AnalyzeSeries(
 
 namespace {
 
-// One per-series fit dispatched to the pool. The series is referenced,
-// not copied: the SeriesSet outlives the dispatch.
-struct SeriesTask {
-  SeriesKind kind;
-  DiseaseId disease;
-  MedicineId medicine;
-  const std::vector<double>* series;
-};
-
 // Version salt for cached SeriesAnalysis entries: bump whenever the
 // analysis algorithm changes in a way that leaves stale cached verdicts
 // structurally valid (v2 = candidate-level wavefront sweep).
@@ -114,14 +104,18 @@ std::uint64_t FingerprintAnalyzerOptions(
 
 namespace {
 
-std::uint64_t FingerprintSeriesTask(std::uint64_t options_key,
-                                    const SeriesTask& task) {
+// A "series" cache key: the option fingerprint, the series' identity
+// tags, and its values.
+std::uint64_t FingerprintSeriesItem(std::uint64_t options_key,
+                                    SeriesKind kind, DiseaseId disease,
+                                    MedicineId medicine,
+                                    const std::vector<double>& series) {
   cache::Hasher hasher;
   hasher.Mix(options_key);
-  hasher.MixSigned(static_cast<std::int64_t>(task.kind));
-  hasher.Mix(task.disease.value());
-  hasher.Mix(task.medicine.value());
-  hasher.Mix(cache::FingerprintSeries(*task.series));
+  hasher.MixSigned(static_cast<std::int64_t>(kind));
+  hasher.Mix(disease.value());
+  hasher.Mix(medicine.value());
+  hasher.Mix(cache::FingerprintSeries(series));
   return hasher.digest();
 }
 
@@ -181,15 +175,15 @@ namespace {
 // for. `analysis` carries the item's ids and normalization scale until
 // FinishSearch fills in the verdict.
 struct SweepSlot {
-  SweepSlot(std::size_t task_index_in, const SeriesAnalysis& analysis_in,
+  SweepSlot(std::size_t item_index_in, const SeriesAnalysis& analysis_in,
             std::vector<double> working,
             const ssm::ChangePointOptions& detector_options)
-      : task_index(task_index_in),
+      : item_index(item_index_in),
         analysis(analysis_in),
         options(detector_options),
         detector(std::move(working), detector_options) {}
 
-  std::size_t task_index;
+  std::size_t item_index;
   SeriesAnalysis analysis;
   ssm::ChangePointOptions options;
   ssm::ChangePointDetector detector;
@@ -205,126 +199,60 @@ Result<TrendReport> TrendAnalyzer::AnalyzeAll(
   // Collect every series in the serial traversal order; that order also
   // assembles the report below, so the result does not depend on which
   // thread fits which series.
-  std::vector<SeriesTask> tasks;
-  tasks.reserve(set.num_diseases() + set.num_medicines() +
+  const std::uint64_t options_key = FingerprintAnalyzerOptions(options_);
+  std::vector<SweepItem> items;
+  items.reserve(set.num_diseases() + set.num_medicines() +
                 set.num_pairs());
-  set.ForEachDisease([&tasks](DiseaseId d,
-                              const std::vector<double>& series) {
-    tasks.push_back({SeriesKind::kDisease, d, MedicineId(), &series});
+  const auto add = [&items, options_key](SeriesKind kind, DiseaseId d,
+                                         MedicineId m,
+                                         const std::vector<double>& series) {
+    SweepItem& item = items.emplace_back();
+    item.series = series;
+    item.key = FingerprintSeriesItem(options_key, kind, d, m, series);
+    item.analysis.kind = kind;
+    item.analysis.disease = d;
+    item.analysis.medicine = m;
+  };
+  set.ForEachDisease([&add](DiseaseId d, const std::vector<double>& series) {
+    add(SeriesKind::kDisease, d, MedicineId(), series);
   });
-  set.ForEachMedicine([&tasks](MedicineId m,
-                               const std::vector<double>& series) {
-    tasks.push_back({SeriesKind::kMedicine, DiseaseId(), m, &series});
+  set.ForEachMedicine(
+      [&add](MedicineId m, const std::vector<double>& series) {
+        add(SeriesKind::kMedicine, DiseaseId(), m, series);
+      });
+  set.ForEachPair([&add](DiseaseId d, MedicineId m,
+                         const std::vector<double>& series) {
+    add(SeriesKind::kPrescription, d, m, series);
   });
-  set.ForEachPair([&tasks](DiseaseId d, MedicineId m,
-                           const std::vector<double>& series) {
-    tasks.push_back({SeriesKind::kPrescription, d, m, &series});
-  });
+  MIC_RETURN_IF_ERROR(
+      SweepSeries(context, items, {"series", "trend.series_cache_"}));
 
-  // Dirty-set sweep: answer unchanged series from the cache before the
-  // dispatch. The serial prepass keeps hit/miss accounting in traversal
-  // order, so the counters are identical at any thread count.
-  std::vector<SeriesAnalysis> analyses(tasks.size());
-  std::vector<Status> statuses(tasks.size());
-  cache::CacheStore* store = context.cache;
-  const bool cache_active =
-      store != nullptr && (store->can_read() || store->can_write());
-  std::vector<std::uint64_t> keys;
-  std::vector<char> from_cache(tasks.size(), 0);
-  if (cache_active) {
-    const std::uint64_t options_key = FingerprintAnalyzerOptions(options_);
-    keys.resize(tasks.size());
-    std::uint64_t hits = 0;
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      keys[i] = FingerprintSeriesTask(options_key, tasks[i]);
-      if (!store->can_read()) continue;
-      auto payload = store->Get("series", keys[i]);
-      if (!payload.ok()) continue;  // Miss or corrupt: recompute cold.
-      auto cached = DeserializeAnalysis(*payload);
-      if (!cached.ok() || cached->kind != tasks[i].kind ||
-          cached->disease != tasks[i].disease ||
-          cached->medicine != tasks[i].medicine) {
-        continue;  // Malformed or collided entry: recompute cold.
-      }
-      analyses[i] = std::move(*cached);
-      from_cache[i] = 1;
-      ++hits;
-    }
-    if (metrics != nullptr) {
-      obs::Increment(obs::GetCounter(metrics, "trend.series_cache_hits"),
-                     hits);
-      obs::Increment(
-          obs::GetCounter(metrics, "trend.series_cache_misses"),
-          static_cast<std::uint64_t>(tasks.size()) - hits);
-    }
-  }
-
-  // Batch the uncached series through the candidate-level wavefront
-  // (SweepSeries below). Items are assembled in task order and folded
-  // back in the same order, so the report and every counter stay
-  // bit-identical to the serial path at any thread count.
-  std::vector<SweepItem> sweep;
-  std::vector<std::size_t> sweep_to_task;
-  sweep.reserve(tasks.size());
-  sweep_to_task.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (from_cache[i]) continue;
-    const SeriesTask& task = tasks[i];
-    SweepItem item;
-    item.series = *task.series;
-    item.analysis.kind = task.kind;
-    item.analysis.disease = task.disease;
-    item.analysis.medicine = task.medicine;
-    sweep.push_back(std::move(item));
-    sweep_to_task.push_back(i);
-  }
-  MIC_RETURN_IF_ERROR(SweepSeries(context, sweep));
-  for (std::size_t j = 0; j < sweep.size(); ++j) {
-    const std::size_t i = sweep_to_task[j];
-    if (!sweep[j].status.ok()) {
-      statuses[i] = sweep[j].status;
-      continue;
-    }
-    analyses[i] = std::move(sweep[j].analysis);
-  }
-
-  // Publish the fresh analyses; write failures degrade to "no cache".
-  if (cache_active && store->can_write()) {
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      if (from_cache[i] || !statuses[i].ok()) continue;
-      Status put = store->Put("series", keys[i],
-                              SerializeAnalysis(analyses[i]));
-      if (!put.ok()) {
-        MIC_LOG(Warning) << "cache write failed: " << put.ToString();
-      }
-    }
-  }
-
-  // Assemble in task order; keep the serial error policy (the first
+  // Assemble in item order; keep the serial error policy (the first
   // non-InvalidArgument failure wins, degenerate series are skipped).
   TrendReport report;
   Status first_error = Status::OK();
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (!statuses[i].ok()) {
+  for (SweepItem& item : items) {
+    if (!item.status.ok()) {
       if (first_error.ok() &&
-          statuses[i].code() != StatusCode::kInvalidArgument) {
-        first_error = statuses[i];
+          item.status.code() != StatusCode::kInvalidArgument) {
+        first_error = item.status;
       }
       continue;
     }
-    const SeriesTask& task = tasks[i];
-    switch (task.kind) {
+    SeriesAnalysis& analysis = item.analysis;
+    switch (analysis.kind) {
       case SeriesKind::kDisease:
-        report.disease_index.emplace(task.disease, report.diseases.size());
-        report.diseases.push_back(std::move(analyses[i]));
+        report.disease_index.emplace(analysis.disease,
+                                     report.diseases.size());
+        report.diseases.push_back(std::move(analysis));
         break;
       case SeriesKind::kMedicine:
-        report.medicine_index.emplace(task.medicine,
+        report.medicine_index.emplace(analysis.medicine,
                                       report.medicines.size());
-        report.medicines.push_back(std::move(analyses[i]));
+        report.medicines.push_back(std::move(analysis));
         break;
       case SeriesKind::kPrescription:
-        report.prescriptions.push_back(std::move(analyses[i]));
+        report.prescriptions.push_back(std::move(analysis));
         break;
     }
   }
@@ -332,7 +260,7 @@ Result<TrendReport> TrendAnalyzer::AnalyzeAll(
 
   if (metrics != nullptr) {
     obs::Increment(obs::GetCounter(metrics, "trend.series_analyzed"),
-                   tasks.size());
+                   items.size());
     std::uint64_t fits = 0;
     std::uint64_t changes = 0;
     for (const auto* group :
@@ -365,32 +293,67 @@ Result<TrendReport> TrendAnalyzer::AnalyzeAll(
 }
 
 Status TrendAnalyzer::SweepSeries(const ExecContext& context,
-                                  std::span<SweepItem> items) const {
+                                  std::span<SweepItem> items,
+                                  const SweepCache& cache) const {
   runtime::ThreadPool* pool = context.pool;
   obs::MetricsRegistry* metrics = context.metrics;
   // Per-series fit wall time. Workers record into this pre-resolved
   // handle directly (they do not inherit the span stack).
   obs::Timer* fit_timer = obs::GetTimer(metrics, "trend.series_fit");
 
-  // Candidate-level wavefront. One slot per item normalizes the series,
-  // wires metrics, and starts the resumable search, in item order; each
-  // round then gathers the pending candidate fits of ALL open searches
-  // into one batch for the pool. The pool therefore sees
-  // series x candidates-per-round independent fits instead of one
-  // opaque task per series — the serial per-series AIC sweep no longer
-  // starves it. All detector-side bookkeeping (counters, memo updates,
-  // fit accounting) happens in the serial fold-back below, in item
-  // order, so every verdict and counter is bit-identical to the serial
-  // path at any thread count.
+  // Read-through: answer unchanged series from the cache before any
+  // fit. The serial pass keeps hit/miss accounting in item order, so
+  // the counters are identical at any thread count. A hit must carry
+  // the item's own kind and ids; a malformed entry or one tagged for
+  // another series is refitted like any miss.
+  cache::CacheStore* store = cache.ns.empty() ? nullptr : context.cache;
+  if (store != nullptr && !store->can_read() && !store->can_write()) {
+    store = nullptr;
+  }
+  std::vector<char> hit(items.size(), 0);
+  if (store != nullptr) {
+    std::uint64_t hits = 0;
+    for (std::size_t i = 0; store->can_read() && i < items.size(); ++i) {
+      SeriesAnalysis& analysis = items[i].analysis;
+      auto payload = store->Get(cache.ns, items[i].key);
+      if (!payload.ok()) continue;
+      auto cached = DeserializeAnalysis(*payload);
+      if (!cached.ok() || cached->kind != analysis.kind ||
+          cached->disease != analysis.disease ||
+          cached->medicine != analysis.medicine) {
+        continue;
+      }
+      analysis = std::move(*cached);
+      hit[i] = 1;
+      ++hits;
+    }
+    const std::string prefix(cache.counter_prefix);
+    obs::Increment(obs::GetCounter(metrics, prefix + "hits"), hits);
+    obs::Increment(obs::GetCounter(metrics, prefix + "misses"),
+                   items.size() - hits);
+  }
+
+  // Candidate-level wavefront over the misses. One slot per item
+  // normalizes the series, wires metrics, and starts the resumable
+  // search, in item order; each round then gathers the pending
+  // candidate fits of ALL open searches into one batch for the pool.
+  // The pool therefore sees series x candidates-per-round independent
+  // fits instead of one opaque task per series — the serial per-series
+  // AIC sweep no longer starves it. All detector-side bookkeeping
+  // (counters, memo updates, fit accounting) happens in the serial
+  // fold-back below, in item order, so every verdict and counter is
+  // bit-identical to the serial path at any thread count.
   std::vector<std::unique_ptr<SweepSlot>> slots;
   slots.reserve(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
-    SweepItem& item = items[i];
-    std::vector<double> working(item.series.begin(), item.series.end());
+    if (hit[i]) continue;
+    SeriesAnalysis analysis = items[i].analysis;
+    std::vector<double> working(items[i].series.begin(),
+                                items[i].series.end());
     if (options_.normalize) {
       const double sd = stats::StdDev(working);
       if (sd > 0.0) {
-        item.analysis.scale = sd;
+        analysis.scale = sd;
         for (double& value : working) value /= sd;
       }
     }
@@ -398,7 +361,7 @@ Status TrendAnalyzer::SweepSeries(const ExecContext& context,
     if (metrics != nullptr) {
       detector_options.fit.metrics = metrics;
     }
-    slots.push_back(std::make_unique<SweepSlot>(i, item.analysis,
+    slots.push_back(std::make_unique<SweepSlot>(i, analysis,
                                                 std::move(working),
                                                 detector_options));
     slots.back()->detector.BeginSearch(options_.use_approximate);
@@ -449,7 +412,7 @@ Status TrendAnalyzer::SweepSeries(const ExecContext& context,
 
   // Close out each search: the verdict, plus lambda in original units.
   for (auto& slot : slots) {
-    SweepItem& item = items[slot->task_index];
+    SweepItem& item = items[slot->item_index];
     Result<ssm::ChangePointResult> detected = slot->detector.FinishSearch();
     if (!detected.ok()) {
       item.status = detected.status();
@@ -462,13 +425,22 @@ Status TrendAnalyzer::SweepSeries(const ExecContext& context,
     analysis.aic_without_intervention = detected->aic_without_intervention;
     analysis.fits_performed = detected->fits_performed;
     if (detected->has_change) {
-      auto decomposition =
-          ssm::Decompose(detected->best_model, slot->detector.series());
-      if (decomposition.ok()) {
-        analysis.lambda = decomposition->lambda * analysis.scale;
-      }
+      analysis.lambda = detected->best_model.lambda * analysis.scale;
     }
     item.analysis = std::move(analysis);
+  }
+
+  // Write the fresh verdicts back; a failed write only costs a refit.
+  if (store != nullptr && store->can_write()) {
+    for (const auto& slot : slots) {
+      const SweepItem& item = items[slot->item_index];
+      if (!item.status.ok()) continue;
+      Status put =
+          store->Put(cache.ns, item.key, SerializeAnalysis(item.analysis));
+      if (!put.ok()) {
+        MIC_LOG(Warning) << "cache write failed: " << put.ToString();
+      }
+    }
   }
   return Status::OK();
 }

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -84,9 +85,10 @@ struct TrendAnalyzerOptions {
   // migration notes in docs/usage_cookbook.md).
 };
 
-/// Cache-key and snapshot helpers for persisted SeriesAnalysis entries.
-/// Shared with the drill-down rollup (trend/drilldown.cc), whose "drill"
-/// cache namespace reuses the same option fingerprint so editing any
+/// Cache-key and snapshot helpers for persisted SeriesAnalysis entries:
+/// both the "series" and the "drill" namespace hold SerializeAnalysis
+/// payloads, and the drill-down rollup (trend/drilldown.cc) keys its
+/// entries with the same option fingerprint, so editing any
 /// verdict-affecting option re-keys both namespaces at once. The
 /// fingerprint already mixes the analysis version salt.
 std::uint64_t FingerprintAnalyzerOptions(const TrendAnalyzerOptions& options);
@@ -95,14 +97,26 @@ Result<SeriesAnalysis> DeserializeAnalysis(
     const std::vector<std::uint8_t>& payload);
 
 /// One series in a batch sweep (see TrendAnalyzer::SweepSeries).
-/// In: `series` views the monthly values (must outlive the call) and
-/// `analysis.kind/disease/medicine` carry the caller's identity tags.
-/// Out: `analysis` holds the full verdict (scale, change point, AIC,
-/// lambda, fits) and `status` the per-series failure, if any.
+/// In: `series` views the monthly values (must outlive the call),
+/// `analysis.kind/disease/medicine` carry the caller's identity tags,
+/// and `key` is the series' cache key (read only when the sweep reads
+/// through a cache). Out: `analysis` holds the full verdict (scale,
+/// change point, AIC, lambda, fits) and `status` the per-series
+/// failure, if any.
 struct SweepItem {
   std::span<const double> series;
+  std::uint64_t key = 0;
   SeriesAnalysis analysis;
   Status status;
+};
+
+/// Where a sweep reads through context.cache: the namespace its
+/// entries live in and the prefix of its hit and miss counters
+/// (`<prefix>hits`, `<prefix>misses`). An empty namespace fits every
+/// item and leaves the cache alone.
+struct SweepCache {
+  std::string_view ns;
+  std::string_view counter_prefix;
 };
 
 /// Full report over a SeriesSet.
@@ -155,31 +169,35 @@ class TrendAnalyzer {
   /// which keeps the report and every counter bit-identical at any
   /// thread count.
   ///
-  /// context.cache (when attached) drives the dirty-set sweep: each
-  /// series' analysis is keyed in the "series" namespace by a
-  /// fingerprint of (kind, ids, series values, analyzer + detector
-  /// options). Unchanged series are answered from the cached
-  /// SeriesAnalysis without fitting (trend.series_cache_hits); changed
-  /// or new ones are fitted and written back
-  /// (trend.series_cache_misses). Hits reproduce the cached analysis
-  /// field-for-field — including fits_performed — so a warm report is
-  /// byte-identical to the cold one at any thread count.
+  /// context.cache (when attached) is read through by SweepSeries in
+  /// the "series" namespace: each series is keyed by a fingerprint of
+  /// (kind, ids, series values, analyzer + detector options). Unchanged
+  /// series are answered from the cached SeriesAnalysis without fitting
+  /// (trend.series_cache_hits); changed or new ones are fitted and
+  /// written back (trend.series_cache_misses). Hits reproduce the cached
+  /// analysis field-for-field — including fits_performed — so a warm
+  /// report is byte-identical to the cold one at any thread count.
   Result<TrendReport> AnalyzeAll(const ExecContext& context,
                                  const medmodel::SeriesSet& set) const;
 
-  /// Runs the candidate-level wavefront over a caller-assembled batch:
-  /// per-item normalization preamble in item order, then each round
-  /// gathers the pending candidate fits of ALL open searches into one
-  /// ParallelFor on context.pool, with detector bookkeeping folded back
-  /// serially in item order — the same bit-for-bit determinism contract
-  /// as AnalyzeAll, which is itself built on this call. Per-series
-  /// failures land in item.status (the item's analysis is then
-  /// untouched); the returned Status only reports pool dispatch
-  /// failures. Does NOT consult context.cache — callers own their
-  /// cache namespace and policy (AnalyzeAll uses "series", the
-  /// drill-down rollup "drill").
+  /// Analyzes a caller-assembled batch. When `cache` names a namespace
+  /// and context.cache is attached, a serial pass first answers every
+  /// item whose cached entry (under item.key) deserializes and carries
+  /// the item's kind, disease and medicine, and counts hits and misses
+  /// under cache.counter_prefix. The misses then run the
+  /// candidate-level wavefront: per-item normalization in item order,
+  /// then each round gathers the pending candidate fits of ALL open
+  /// searches into one ParallelFor on context.pool, with detector
+  /// bookkeeping folded back serially in item order — the same
+  /// bit-for-bit determinism contract as AnalyzeAll, which is itself
+  /// built on this call. Fresh verdicts are written back in item order.
+  /// Per-series failures land in item.status (the item's analysis is
+  /// then untouched and nothing is cached); the returned Status only
+  /// reports pool dispatch failures. AnalyzeAll reads through "series",
+  /// the drill-down rollup "drill".
   Status SweepSeries(const ExecContext& context,
-                     std::span<SweepItem> items) const;
+                     std::span<SweepItem> items,
+                     const SweepCache& cache = {}) const;
 
   /// Attributes a detected prescription change using the disease and
   /// medicine verdicts already present in `report`. Returns kNone when

@@ -4,11 +4,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cache/fingerprint.h"
+#include "cache/sealed_file.h"
 #include "cache/snapshot_io.h"
 #include "common/exec_context.h"
 #include "medmodel/medication_model.h"
@@ -137,6 +140,92 @@ TEST(SnapshotIoTest, TruncationFailsInsteadOfAborting) {
   EXPECT_FALSE(reader.AtEnd());
 }
 
+// A payload with one full checksum word and a three-byte tail.
+std::vector<std::uint8_t> ElevenBytePayload() {
+  std::vector<std::uint8_t> payload;
+  for (int i = 0; i < 11; ++i) {
+    payload.push_back(static_cast<std::uint8_t>(i * 17 + 3));
+  }
+  return payload;
+}
+
+// Every claim store on disk holds these bytes for this payload; a
+// change here is a store format change and needs a version bump.
+TEST(SealedFileTest, StoreFileBytesArePinned) {
+  const std::vector<std::uint8_t> expected = {
+      0x53, 0x43, 0x49, 0x4d, 0x01, 0x00, 0x00, 0x00,  // "MICS" (LE), v1
+      0x60, 0x8c, 0x98, 0xf5, 0x58, 0xd8, 0x0f, 0x97,  // checksum
+      0x0b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload size
+      0x03, 0x14, 0x25, 0x36, 0x47, 0x58, 0x69, 0x7a,  // payload
+      0x8b, 0x9c, 0xad};
+  EXPECT_EQ(cache::Seal(cache::SealedKind::kStoreFile, ElevenBytePayload()),
+            expected);
+}
+
+TEST(SealedFileTest, DetectsEveryCorruptionMode) {
+  const std::vector<std::uint8_t> payload = ElevenBytePayload();
+  for (cache::SealedKind kind :
+       {cache::SealedKind::kCacheEntry, cache::SealedKind::kStoreFile}) {
+    const std::vector<std::uint8_t> sealed = cache::Seal(kind, payload);
+    ASSERT_EQ(sealed.size(), cache::kSealedHeaderSize + payload.size());
+    auto ok = cache::Unseal(kind, sealed, "f");
+    ASSERT_TRUE(ok.ok());
+    EXPECT_EQ(std::vector<std::uint8_t>(ok->begin(), ok->end()), payload);
+
+    std::vector<std::uint8_t> truncated(sealed.begin(), sealed.end() - 1);
+    EXPECT_EQ(cache::Unseal(kind, truncated, "f").status().code(),
+              StatusCode::kFailedPrecondition);
+
+    std::vector<std::uint8_t> flipped = sealed;
+    flipped.back() ^= 0x01;  // One payload bit.
+    EXPECT_EQ(cache::Unseal(kind, flipped, "f").status().code(),
+              StatusCode::kFailedPrecondition);
+
+    std::vector<std::uint8_t> bad_magic = sealed;
+    bad_magic[0] ^= 0xff;
+    EXPECT_EQ(cache::Unseal(kind, bad_magic, "f").status().code(),
+              StatusCode::kFailedPrecondition);
+
+    // A format version nobody ships yet reads as absent, not corrupt.
+    std::vector<std::uint8_t> future = sealed;
+    future[4] = 0x7f;
+    EXPECT_EQ(cache::Unseal(kind, future, "f").status().code(),
+              StatusCode::kNotFound);
+
+    const std::vector<std::uint8_t> tiny = {'M', 'I'};
+    EXPECT_EQ(cache::Unseal(kind, tiny, "f").status().code(),
+              StatusCode::kFailedPrecondition);
+  }
+}
+
+TEST(SealedFileTest, EachKindRejectsTheOther) {
+  const std::vector<std::uint8_t> payload = ElevenBytePayload();
+  const auto entry = cache::Seal(cache::SealedKind::kCacheEntry, payload);
+  const auto store = cache::Seal(cache::SealedKind::kStoreFile, payload);
+  EXPECT_EQ(
+      cache::Unseal(cache::SealedKind::kStoreFile, entry, "f").status().code(),
+      StatusCode::kFailedPrecondition);
+  EXPECT_EQ(
+      cache::Unseal(cache::SealedKind::kCacheEntry, store, "f").status().code(),
+      StatusCode::kFailedPrecondition);
+}
+
+TEST(SealedFileTest, PublishAndReadRoundTrip) {
+  const fs::path dir = FreshDir("sealed_file_publish");
+  fs::create_directories(dir);
+  const std::string path = (dir / "f.seg").string();
+  EXPECT_EQ(cache::ReadFile(path).status().code(), StatusCode::kNotFound);
+  const std::vector<std::uint8_t> bytes(40000, 0x5a);  // Several chunks.
+  ASSERT_TRUE(cache::PublishFile(path, bytes).ok());
+  auto back = cache::ReadFile(path);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, bytes);
+  // The temp file was renamed away.
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir),
+                          fs::directory_iterator()),
+            1);
+}
+
 TEST(CacheStoreTest, ParsesAndNamesModes) {
   ASSERT_TRUE(cache::ParseCacheMode("rw").ok());
   EXPECT_EQ(*cache::ParseCacheMode("off"), cache::CacheMode::kOff);
@@ -212,6 +301,47 @@ TEST(CacheStoreTest, CorruptEntryCountsAsReadError) {
   }
   EXPECT_FALSE(store.Get("em", 5).ok());
   EXPECT_EQ(metrics.counter_value("cache.read_errors"), 1u);
+}
+
+// Format version 1 entries (the byte-wise FNV checksum) predate the
+// shared sealed-file codec; they read as plain misses, not corruption.
+TEST(CacheStoreTest, VersionOneEntryReadsAsAPlainMiss) {
+  const fs::path dir = FreshDir("cache_store_v1");
+  obs::MetricsRegistry metrics;
+  cache::CacheStore store(dir.string(), cache::CacheMode::kReadWrite,
+                          &metrics);
+  ASSERT_TRUE(store.Open().ok());
+
+  const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
+  cache::Hasher checksum;
+  checksum.Mix(payload.size());
+  for (std::uint8_t byte : payload) checksum.Mix(byte);
+  cache::SnapshotWriter entry;
+  entry.PutU32(0x4d494343);  // "MICC"
+  entry.PutU32(1);
+  entry.PutU64(checksum.digest());
+  entry.PutU64(payload.size());
+  std::vector<std::uint8_t> bytes = entry.Take();
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  fs::create_directories(dir / "series");
+  {
+    std::ofstream out(dir / "series" / (cache::KeyToHex(7) + ".snap"),
+                      std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+
+  auto old = store.Get("series", 7);
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(metrics.counter_value("cache.misses"), 1u);
+  EXPECT_EQ(metrics.counter_value("cache.read_errors"), 0u);
+
+  // Rewriting the entry upgrades it in place.
+  ASSERT_TRUE(store.Put("series", 7, payload).ok());
+  auto fresh = store.Get("series", 7);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(*fresh, payload);
 }
 
 TEST(ModelSnapshotTest, RoundTripsBitExactly) {
@@ -414,6 +544,70 @@ TEST(PipelineCacheTest, CorruptedSnapshotsFallBackToColdResults) {
   // Every stage recomputed cold — and reproduced the seeded run's
   // numbers exactly, because hit/miss never changes the math.
   ExpectReportsBitIdentical(seeded->report, warm->report);
+}
+
+// A hit must carry the tags of the series it answers, not just its
+// key: an entry whose payload names another kind (a key collision, or
+// bytes from a foreign writer) is refitted and counted as a miss, in
+// the flat "series" namespace and the drill-down "drill" namespace
+// alike.
+TEST(PipelineCacheTest, EntriesTaggedWithAnotherKindAreRefittedAsMisses) {
+  auto world = synth::World::Create(synth::MakeTinyWorldConfig(24, 5));
+  ASSERT_TRUE(world.ok());
+  synth::ClaimGenerator generator(&*world);
+  auto data = generator.Generate();
+  ASSERT_TRUE(data.ok());
+
+  const fs::path dir = FreshDir("pipeline_cache_collision");
+  trend::PipelineConfig config =
+      TinyWorldConfig(dir, cache::CacheMode::kWrite);
+  config.drilldown_axes = {trend::DrillAxis::kMedicine};
+  auto cold = trend::RunPipeline(data->corpus, config);
+  ASSERT_TRUE(cold.ok());
+
+  cache::CacheStore retagger(dir.string(), cache::CacheMode::kReadWrite);
+  ASSERT_TRUE(retagger.Open().ok());
+  for (const char* ns : {"series", "drill"}) {
+    ASSERT_TRUE(fs::is_directory(dir / ns)) << ns;
+    const fs::path entry = fs::directory_iterator(dir / ns)->path();
+    const std::uint64_t key =
+        std::stoull(entry.stem().string(), nullptr, 16);
+    auto payload = retagger.Get(ns, key);
+    ASSERT_TRUE(payload.ok()) << ns;
+    auto analysis = trend::DeserializeAnalysis(*payload);
+    ASSERT_TRUE(analysis.ok()) << ns;
+    analysis->kind = analysis->kind == trend::SeriesKind::kDisease
+                         ? trend::SeriesKind::kPrescription
+                         : trend::SeriesKind::kDisease;
+    ASSERT_TRUE(
+        retagger.Put(ns, key, trend::SerializeAnalysis(*analysis)).ok());
+  }
+
+  obs::MetricsRegistry metrics;
+  ExecContext context;
+  context.metrics = &metrics;
+  config.cache.mode = cache::CacheMode::kRead;
+  auto warm = trend::RunPipeline(data->corpus, config, context);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(metrics.counter_value("trend.series_cache_misses"), 1u);
+  EXPECT_EQ(metrics.counter_value("trend.rollup.cache_misses"), 1u);
+  EXPECT_GT(metrics.counter_value("trend.series_cache_hits"), 0u);
+  EXPECT_EQ(metrics.counter_value("cache.read_errors"), 0u);
+  ExpectReportsBitIdentical(cold->report, warm->report);
+  ASSERT_EQ(warm->drilldowns.size(), 1u);
+  const auto& cold_nodes = cold->drilldowns[0].nodes;
+  const auto& warm_nodes = warm->drilldowns[0].nodes;
+  ASSERT_EQ(cold_nodes.size(), warm_nodes.size());
+  for (std::size_t i = 0; i < cold_nodes.size(); ++i) {
+    EXPECT_EQ(cold_nodes[i].analysis.kind, warm_nodes[i].analysis.kind)
+        << i;
+    EXPECT_EQ(cold_nodes[i].analysis.change_point,
+              warm_nodes[i].analysis.change_point)
+        << i;
+    EXPECT_EQ(cold_nodes[i].analysis.aic, warm_nodes[i].analysis.aic) << i;
+    EXPECT_EQ(cold_nodes[i].analysis.lambda, warm_nodes[i].analysis.lambda)
+        << i;
+  }
 }
 
 TEST(PipelineCacheTest, UnopenableCacheDirectoryDegradesToColdRun) {

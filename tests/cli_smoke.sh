@@ -155,7 +155,9 @@ rm -rf "$WORK/store"
   --hospitals "$WORK/hospitals.csv" \
   --store-dir "$WORK/store" | grep -q "imported 12 of 12 months"
 test -s "$WORK/store/MANIFEST"
-test -s "$WORK/store/dict.seg"
+# One dictionary, named by the fingerprint the MANIFEST records.
+test "$(ls "$WORK"/store/dict-*.seg | wc -l)" -eq 1
+test -s "$(ls "$WORK"/store/dict-*.seg)"
 test -s "$WORK/store/m0000.seg"
 "$MICTREND" pipeline --store-dir "$WORK/store" --corpus "$WORK/corpus.csv" \
   --min-total 5 --out "$WORK/report_store.csv" \

@@ -163,15 +163,6 @@ TEST(ExporterTest, JsonIsDeterministicAcrossInsertionOrder) {
   EXPECT_NE(forward.ToJson().find("\"histograms\":"), std::string::npos);
 }
 
-TEST(ExporterTest, CsvHasOneRowPerScalar) {
-  MetricsRegistry registry;
-  registry.counter("c")->Increment(7);
-  registry.timer("t")->Record(1000);
-  const std::string csv = registry.ToCsv();
-  EXPECT_NE(csv.find("counter,c,value,7"), std::string::npos);
-  EXPECT_NE(csv.find("timer,t,count,1"), std::string::npos);
-}
-
 TEST(RuntimeMetricsTest, FoldsStageStatsIntoRegistry) {
   runtime::ThreadPool pool(2);
   auto noop = [](std::size_t, std::size_t, std::size_t) {

@@ -1,8 +1,10 @@
 #include "store/claim_store.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -104,41 +106,6 @@ TEST(BackendTest, AutoResolvesToARealBackend) {
   } else {
     EXPECT_EQ((*backend)->name(), "file");
   }
-}
-
-TEST(BackendTest, EnvelopeDetectsEveryCorruptionMode) {
-  const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5, 6, 7};
-  std::vector<std::uint8_t> sealed = store::SealSegment(payload);
-
-  const auto view = [](const std::vector<std::uint8_t>& bytes) {
-    store::SegmentView v;
-    v.data = bytes.data();
-    v.size = bytes.size();
-    return v;
-  };
-
-  auto ok = store::UnsealSegment(view(sealed), "seg");
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(std::vector<std::uint8_t>(ok->data, ok->data + ok->size),
-            payload);
-
-  std::vector<std::uint8_t> truncated(sealed.begin(), sealed.end() - 1);
-  EXPECT_FALSE(store::UnsealSegment(view(truncated), "seg").ok());
-
-  std::vector<std::uint8_t> flipped = sealed;
-  flipped.back() ^= 0x01;  // One payload bit.
-  EXPECT_FALSE(store::UnsealSegment(view(flipped), "seg").ok());
-
-  std::vector<std::uint8_t> bad_magic = sealed;
-  bad_magic[0] ^= 0xff;
-  EXPECT_FALSE(store::UnsealSegment(view(bad_magic), "seg").ok());
-
-  std::vector<std::uint8_t> future = sealed;
-  future[4] = 0x7f;  // Format version nobody ships yet.
-  EXPECT_FALSE(store::UnsealSegment(view(future), "seg").ok());
-
-  std::vector<std::uint8_t> tiny = {'M', 'I'};
-  EXPECT_FALSE(store::UnsealSegment(view(tiny), "seg").ok());
 }
 
 TEST(ClaimStoreTest, RoundTripsACorpusBitIdentically) {
@@ -314,6 +281,138 @@ TEST(ClaimStoreTest, StaleSegmentAfterHistoryEditIsDetected) {
   auto opened = store::ClaimStore::Open(dir.string());
   ASSERT_TRUE(opened.ok());
   EXPECT_FALSE(opened->OpenWorld().ok());
+}
+
+// `corpus` on a copy of its catalog, with the first record of the last
+// month moved to a patient name the original catalog lacks, so
+// appending that month changes the stored dictionary.
+MicCorpus WithNewPatientInLastMonth(const MicCorpus& corpus) {
+  MicCorpus out(std::make_shared<Catalog>(corpus.catalog()));
+  for (std::size_t t = 0; t < corpus.num_months(); ++t) {
+    MonthlyDataset month = corpus.month(t);
+    if (t + 1 == corpus.num_months()) {
+      month.mutable_records().front().patient =
+          out.catalog().patients().Intern("patient-renamed");
+    }
+    EXPECT_TRUE(out.AddMonth(std::move(month)).ok());
+  }
+  return out;
+}
+
+std::vector<std::string> StoreFiles(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// The MANIFEST is the only commit point: an append cut after any of its
+// three writes (segment; segment + dictionary; all three), with or
+// without a stray temp file from a write cut mid-way, opens to exactly
+// the old world or exactly the new one.
+TEST(ClaimStoreTest, InterruptedAppendOpensToTheOldOrTheNewWorld) {
+  const MicCorpus base = TinyCorpus(13, 8);
+  const MicCorpus old_world = Prefix(base, 12);
+  const MicCorpus full = WithNewPatientInLastMonth(base);
+  const fs::path root = FreshDir("store_torn");
+  const fs::path before = root / "before";
+  const fs::path after = root / "after";
+  {
+    auto seeder = store::ClaimStore::Open(before.string());
+    ASSERT_TRUE(seeder.ok());
+    ASSERT_TRUE(store::ImportCorpus(old_world, *seeder).ok());
+  }
+  fs::copy(before, after);
+  {
+    auto appender = store::ClaimStore::Open(after.string());
+    ASSERT_TRUE(appender.ok());
+    auto appended = store::ImportCorpus(full, *appender);
+    ASSERT_TRUE(appended.ok());
+    ASSERT_EQ(*appended, 1u);
+  }
+  // The renamed patient moved the dictionary to a new name, and the
+  // superseded one is gone after the commit.
+  std::vector<std::string> old_files = StoreFiles(before);
+  std::vector<std::string> new_files = StoreFiles(after);
+  const auto is_dict = [](const std::string& name) {
+    return name.rfind("dict-", 0) == 0;
+  };
+  ASSERT_EQ(std::count_if(old_files.begin(), old_files.end(), is_dict), 1);
+  ASSERT_EQ(std::count_if(new_files.begin(), new_files.end(), is_dict), 1);
+  const std::string old_dict =
+      *std::find_if(old_files.begin(), old_files.end(), is_dict);
+  const std::string new_dict =
+      *std::find_if(new_files.begin(), new_files.end(), is_dict);
+  ASSERT_NE(old_dict, new_dict);
+
+  struct Cut {
+    const char* name;
+    std::vector<std::string> written;  // Files taken from `after`.
+    std::size_t months;
+  };
+  const std::vector<Cut> cuts = {
+      {"segment", {"m0012.seg"}, 12},
+      {"segment+dict", {"m0012.seg", new_dict}, 12},
+      {"all", {"m0012.seg", new_dict, "MANIFEST"}, 13},
+  };
+  for (const Cut& cut : cuts) {
+    for (bool stray_tmp : {false, true}) {
+      const fs::path dir =
+          root / (std::string(cut.name) + (stray_tmp ? "_tmp" : ""));
+      fs::copy(before, dir);
+      for (const std::string& name : cut.written) {
+        fs::copy_file(after / name, dir / name,
+                      fs::copy_options::overwrite_existing);
+      }
+      if (stray_tmp) {
+        std::ofstream torn(dir / "MANIFEST.tmp12345", std::ios::binary);
+        torn << "half a manifest";
+      }
+      SCOPED_TRACE(dir.filename().string());
+      auto opened = store::ClaimStore::Open(dir.string());
+      ASSERT_TRUE(opened.ok()) << opened.status();
+      EXPECT_EQ(opened->num_months(), cut.months);
+      auto world = opened->OpenWorld();
+      ASSERT_TRUE(world.ok()) << world.status();
+      ExpectCorporaBitIdentical(cut.months == 13 ? full : old_world,
+                                *world);
+    }
+  }
+}
+
+// Stores written before dictionaries were named by their fingerprint
+// hold one dict.seg; they open unchanged, and the next append moves
+// them to the named layout.
+TEST(ClaimStoreTest, LegacyDictionaryFileStillOpens) {
+  const MicCorpus full = TinyCorpus(5, 13);
+  const fs::path dir = FreshDir("store_legacy_dict");
+  {
+    auto seeder = store::ClaimStore::Open(dir.string());
+    ASSERT_TRUE(seeder.ok());
+    ASSERT_TRUE(store::ImportCorpus(Prefix(full, 4), *seeder).ok());
+  }
+  for (const std::string& name : StoreFiles(dir)) {
+    if (name.rfind("dict-", 0) == 0) fs::rename(dir / name, dir / "dict.seg");
+  }
+  obs::MetricsRegistry metrics;
+  auto legacy = store::ClaimStore::Open(dir.string(), {}, &metrics);
+  ASSERT_TRUE(legacy.ok());
+  auto world = legacy->OpenWorld();
+  ASSERT_TRUE(world.ok()) << world.status();
+  ExpectCorporaBitIdentical(Prefix(full, 4), *world);
+  EXPECT_EQ(metrics.counter_value("store.read_errors"), 0u);
+
+  auto appended = store::ImportCorpus(full, *legacy);
+  ASSERT_TRUE(appended.ok());
+  EXPECT_EQ(*appended, 1u);
+  EXPECT_FALSE(fs::exists(dir / "dict.seg"));
+  auto reopened = store::ClaimStore::Open(dir.string());
+  ASSERT_TRUE(reopened.ok());
+  auto grown = reopened->OpenWorld();
+  ASSERT_TRUE(grown.ok()) << grown.status();
+  ExpectCorporaBitIdentical(full, *grown);
 }
 
 trend::PipelineConfig TinyPipelineConfig() {
