@@ -108,15 +108,13 @@ void BM_KalmanFilterMultiRegressor(benchmark::State& state) {
 BENCHMARK(BM_KalmanFilterMultiRegressor)->Arg(1)->Arg(3)->Arg(5);
 
 void BM_RegressionFilterKernel(benchmark::State& state) {
-  // One 43-step regression pass through the kernel dispatcher, the call
-  // every Nelder-Mead evaluation of a one-intervention fit makes, for
-  // each state dimension with a fixed kernel: 1 (level), 5 (level + two
-  // trig harmonics), 12 (level + period-12 dummy seasonal). The second
-  // argument picks the kernel: 0 dynamic, 1 fixed.
+  // One 43-step regression pass, the call every Nelder-Mead evaluation
+  // of a one-intervention fit makes, for each state dimension with a
+  // fixed kernel: 1 (level), 5 (level + two trig harmonics), 12 (level
+  // + period-12 dummy seasonal). The second argument picks the kernel:
+  // 0 dynamic, 1 fixed (the one fits dispatch to at these dimensions).
   const int dim = static_cast<int>(state.range(0));
-  const ssm::KalmanKernel kernel = state.range(1) == 0
-                                       ? ssm::KalmanKernel::kDynamic
-                                       : ssm::KalmanKernel::kFixed;
+  const bool fixed = state.range(1) != 0;
   const int n = 43;
   const auto series = MakeSeries(n, 3);
   const auto regressor = ssm::SlopeShiftRegressor(n / 2, n);
@@ -125,12 +123,13 @@ void BM_RegressionFilterKernel(benchmark::State& state) {
   if (dim == 5) spec.seasonal_form = ssm::SeasonalForm::kTrigonometric;
   auto model = ssm::BuildStructuralModel(spec, {1.0, 0.1, 0.01});
   for (auto _ : state) {
-    auto result = ssm::RunFilterWithRegressionKernel(kernel, *model, series,
-                                                     regressor);
+    auto result =
+        fixed ? ssm::RunFilterWithRegressionFixed(*model, series, regressor)
+              : ssm::RunFilterWithRegression(*model, series, regressor);
     benchmark::DoNotOptimize(result->profiled_log_likelihood);
   }
   state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(std::string(ssm::KalmanKernelName(kernel)));
+  state.SetLabel(fixed ? "fixed" : "dynamic");
 }
 BENCHMARK(BM_RegressionFilterKernel)
     ->ArgNames({"dim", "fixed"})

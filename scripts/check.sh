@@ -24,6 +24,28 @@ set -e
 cd "$(dirname "$0")/.."
 PRESETS="${*:-default tsan asan bench-smoke cache-smoke store-smoke serve-smoke drill-smoke perf-smoke obs-smoke perfbench-smoke}"
 
+# Waits for a daemon's port file (its ready signal), polling every half
+# second up to TRIES times; fails the stage, printing the daemon's log,
+# when the daemon dies first or never writes the file.
+#   await_port PORT_FILE PID LOG TRIES
+await_port() {
+  await_tries=0
+  while [ ! -s "$1" ]; do
+    if ! kill -0 "$2" 2>/dev/null; then
+      echo "daemon died during startup:" >&2
+      cat "$3" >&2
+      exit 1
+    fi
+    await_tries=$((await_tries + 1))
+    if [ "$await_tries" -gt "$4" ]; then
+      echo "daemon never wrote its port file $1" >&2
+      kill "$2" 2>/dev/null || true
+      exit 1
+    fi
+    sleep 0.5
+  done
+}
+
 # Runs bench_table5_efficiency at the pinned smoke scale (the config the
 # committed baseline was generated with -- bench_compare refuses to diff
 # across configs) and compares. Timing keys report but do not gate; the
@@ -233,21 +255,7 @@ serve_smoke() {
     --port 0 --port-file "$work/port.txt" --workers 4 \
     > "$work/serve.log" 2>&1 &
   pid=$!
-  i=0
-  while [ ! -s "$work/port.txt" ]; do
-    if ! kill -0 "$pid" 2>/dev/null; then
-      echo "serve daemon died during startup:" >&2
-      cat "$work/serve.log" >&2
-      exit 1
-    fi
-    i=$((i + 1))
-    if [ "$i" -gt 240 ]; then
-      echo "serve daemon never wrote the port file" >&2
-      kill "$pid" 2>/dev/null || true
-      exit 1
-    fi
-    sleep 0.5
-  done
+  await_port "$work/port.txt" "$pid" "$work/serve.log" 240
   port=$(cat "$work/port.txt")
 
   # Pre-ingest: the served report is the offline 12-month report, byte
@@ -295,6 +303,47 @@ EOF
   wait "$pid"
   grep -q "server stopped" "$work/serve.log"
 
+  # A failed accept() must not stop the daemon. Under a 40-descriptor
+  # limit, 60 idle connections exhaust the daemon's fds, so accept()
+  # fails with EMFILE; once the clients hang up, the daemon must answer
+  # again and have counted the failures in serve.accept_errors.
+  rm -f "$work/fd_port.txt"
+  (
+    ulimit -n 40
+    exec $bin serve --store-dir "$work/store" --min-total 5 \
+      --seasonal false --threads 2 --workers 2 \
+      --port 0 --port-file "$work/fd_port.txt"
+  ) > "$work/serve_fd.log" 2>&1 &
+  fpid=$!
+  await_port "$work/fd_port.txt" "$fpid" "$work/serve_fd.log" 240
+  fport=$(cat "$work/fd_port.txt")
+  python3 - "$fport" << 'EOF'
+import socket, sys, time
+port = int(sys.argv[1])
+idle = [socket.create_connection(("127.0.0.1", port), timeout=10)
+        for _ in range(60)]
+time.sleep(1)  # the accept loop runs into the descriptor limit
+for sock in idle:
+    sock.close()
+EOF
+  if ! $bin query --port "$fport" --op health --timeout-ms 10000 \
+      > /dev/null; then
+    echo "daemon stopped answering after fd exhaustion:" >&2
+    cat "$work/serve_fd.log" >&2
+    kill "$fpid" 2>/dev/null || true
+    exit 1
+  fi
+  $bin query --port "$fport" --op metrics --out "$work/fd_metrics.json"
+  python3 - "$work/fd_metrics.json" << 'EOF'
+import json, sys
+counters = json.load(open(sys.argv[1]))["data"]["counters"]
+assert counters["serve.accept_errors"] > 0, counters
+print("serve-smoke: daemon kept serving through fd exhaustion "
+      f"({counters['serve.accept_errors']} accept errors)")
+EOF
+  $bin query --port "$fport" --op shutdown > /dev/null
+  wait "$fpid"
+
   # The load bench at the pinned smoke scale, gated against its
   # committed baseline (deterministic keys must match; timings report).
   out="build/bench/BENCH_serve.json"
@@ -325,21 +374,7 @@ EOF
       --port 0 --port-file "$work/tsan_port.txt" --workers 4 \
       > "$work/serve_tsan.log" 2>&1 &
     tpid=$!
-    i=0
-    while [ ! -s "$work/tsan_port.txt" ]; do
-      if ! kill -0 "$tpid" 2>/dev/null; then
-        echo "tsan serve daemon died during startup:" >&2
-        cat "$work/serve_tsan.log" >&2
-        exit 1
-      fi
-      i=$((i + 1))
-      if [ "$i" -gt 600 ]; then
-        echo "tsan serve daemon never wrote the port file" >&2
-        kill "$tpid" 2>/dev/null || true
-        exit 1
-      fi
-      sleep 0.5
-    done
+    await_port "$work/tsan_port.txt" "$tpid" "$work/serve_tsan.log" 600
     tport=$(cat "$work/tsan_port.txt")
     tsan_bin=build-tsan/tools/mictrend
     $tsan_bin query --port "$tport" --op health > /dev/null
@@ -401,21 +436,7 @@ drill_smoke() {
     --port 0 --port-file "$work/port.txt" --workers 2 \
     > "$work/serve.log" 2>&1 &
   pid=$!
-  i=0
-  while [ ! -s "$work/port.txt" ]; do
-    if ! kill -0 "$pid" 2>/dev/null; then
-      echo "drill-smoke daemon died during startup:" >&2
-      cat "$work/serve.log" >&2
-      exit 1
-    fi
-    i=$((i + 1))
-    if [ "$i" -gt 240 ]; then
-      echo "drill-smoke daemon never wrote the port file" >&2
-      kill "$pid" 2>/dev/null || true
-      exit 1
-    fi
-    sleep 0.5
-  done
+  await_port "$work/port.txt" "$pid" "$work/serve.log" 240
   port=$(cat "$work/port.txt")
 
   $bin query --port "$port" --op drilldown --axis medicine \
@@ -486,21 +507,7 @@ obs_smoke() {
     --access-log "$work/access.jsonl" \
     > "$work/serve.log" 2>&1 &
   pid=$!
-  i=0
-  while [ ! -s "$work/port.txt" ]; do
-    if ! kill -0 "$pid" 2>/dev/null; then
-      echo "obs-smoke daemon died during startup:" >&2
-      cat "$work/serve.log" >&2
-      exit 1
-    fi
-    i=$((i + 1))
-    if [ "$i" -gt 240 ]; then
-      echo "obs-smoke daemon never wrote the port file" >&2
-      kill "$pid" 2>/dev/null || true
-      exit 1
-    fi
-    sleep 0.5
-  done
+  await_port "$work/port.txt" "$pid" "$work/serve.log" 240
   port=$(cat "$work/port.txt")
 
   # A little framed load so the windows have something to show.
@@ -559,6 +566,46 @@ for record in records:
 EOF
   echo "obs-smoke: access log complete with unique request ids"
 
+  # Each framed op's channel totals are its only per-op counters, and
+  # the three sinks agree on them: /varz, the second scrape's _total
+  # samples, and the access log (whose last record, the shutdown, came
+  # after both fetches).
+  python3 - "$work/varz.json" "$work/scrape1.txt" "$work/scrape2.txt" \
+    "$work/access.jsonl" << 'EOF'
+import json, re, sys
+varz = json.load(open(sys.argv[1]))
+scrapes = [open(path).read() for path in sys.argv[2:4]]
+records = [json.loads(line) for line in open(sys.argv[4])]
+for scrape in scrapes:
+    assert "mictrend_serve_requests_" not in scrape, "per-op counter family"
+samples = {}
+for line in scrapes[1].splitlines():
+    match = re.match(
+        r'mictrend_channel_(requests|errors)_total\{channel="([^"]+)"\} (\S+)$',
+        line)
+    if match:
+        samples[match[1], match[2]] = float(match[3])
+logged = {}
+for record in records:
+    if record["transport"] != "frame" or record["endpoint"] == "shutdown":
+        continue
+    count = logged.setdefault(record["endpoint"], [0, 0])
+    count[0] += 1
+    count[1] += not record["ok"]
+totals = varz["totals"]
+ops = {name[len("serve."):] for name in totals
+       if name.startswith("serve.") and name != "serve.swap.drain"}
+assert {"health", "top_changes", "stats"} <= set(logged) <= ops, (logged, ops)
+for op in sorted(ops):
+    channel = "serve." + op
+    seen = [totals[channel]["requests"], totals[channel]["errors"]]
+    scraped = [samples["requests", channel], samples["errors", channel]]
+    assert seen == scraped == logged.get(op, [0, 0]), (op, seen, scraped,
+                                                       logged.get(op))
+assert totals["serve.health"]["errors"] == 0, totals["serve.health"]
+EOF
+  echo "obs-smoke: per-op totals agree across /varz, /metrics and the access log"
+
   # One daemon round under ASan+UBSan when the instrumented binary is
   # already built.
   if [ -x build-asan/tools/mictrend ]; then
@@ -569,21 +616,7 @@ EOF
       --access-log "$work/access_asan.jsonl" \
       > "$work/serve_asan.log" 2>&1 &
     apid=$!
-    i=0
-    while [ ! -s "$work/asan_port.txt" ]; do
-      if ! kill -0 "$apid" 2>/dev/null; then
-        echo "asan obs daemon died during startup:" >&2
-        cat "$work/serve_asan.log" >&2
-        exit 1
-      fi
-      i=$((i + 1))
-      if [ "$i" -gt 600 ]; then
-        echo "asan obs daemon never wrote the port file" >&2
-        kill "$apid" 2>/dev/null || true
-        exit 1
-      fi
-      sleep 0.5
-    done
+    await_port "$work/asan_port.txt" "$apid" "$work/serve_asan.log" 600
     aport=$(cat "$work/asan_port.txt")
     build-asan/tools/mictrend query --port "$aport" --op health > /dev/null
     build-asan/tools/mictrend query --port "$aport" --op stats > /dev/null

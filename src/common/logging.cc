@@ -12,7 +12,6 @@ namespace mic {
 namespace {
 
 std::atomic<int> g_log_level{static_cast<int>(LogLevel::kInfo)};
-std::atomic<int> g_log_format{static_cast<int>(LogFormat::kText)};
 
 // Serializes sink emission so messages logged from parallel runtime
 // stages never interleave mid-line. Each message is formatted into its
@@ -96,20 +95,11 @@ std::string JsonRecord(LogLevel level, const char* file, int line,
 // Writes one already-formatted record to the enabled sinks.
 void EmitRecord(LogLevel level, const char* file, int line,
                 const std::string& message, std::string_view extra) {
-  const bool stderr_json = GetLogFormat() == LogFormat::kJson;
-  std::string json;
   std::lock_guard<std::mutex> lock(SinkMutex());
-  if (stderr_json || g_log_file != nullptr) {
-    json = JsonRecord(level, file, line, message, extra);
-  }
-  if (stderr_json) {
-    std::cerr << json << std::endl;
-  } else {
-    std::cerr << "[" << LevelName(level) << " " << FileBaseName(file)
-              << ":" << line << "] " << message << std::endl;
-  }
+  std::cerr << "[" << LevelName(level) << " " << FileBaseName(file) << ":"
+            << line << "] " << message << std::endl;
   if (g_log_file != nullptr) {
-    *g_log_file << json << '\n';
+    *g_log_file << JsonRecord(level, file, line, message, extra) << '\n';
     g_log_file->flush();
   }
 }
@@ -139,15 +129,6 @@ void ApplyLogLevelFromEnv() {
   if (value == nullptr) return;
   auto level = ParseLogLevel(value);
   if (level.ok()) SetLogLevel(*level);
-}
-
-LogFormat GetLogFormat() {
-  return static_cast<LogFormat>(
-      g_log_format.load(std::memory_order_relaxed));
-}
-
-void SetLogFormat(LogFormat format) {
-  g_log_format.store(static_cast<int>(format), std::memory_order_relaxed);
 }
 
 Status OpenLogFile(const std::string& path) {

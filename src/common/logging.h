@@ -1,10 +1,10 @@
-// Leveled logging with pluggable sink formats, plus CHECK macros for
-// invariant enforcement.
+// Leveled logging with a text stderr sink and an optional JSON-lines
+// file sink, plus CHECK macros for invariant enforcement.
 //
 // Messages below the global threshold are discarded before any
-// formatting work. The stderr sink renders either the classic human
-// one-liner (`[INFO file.cc:12] message`) or structured JSON lines; an
-// optional file sink always receives JSON lines, one object per record:
+// formatting work. The stderr sink renders the human one-liner
+// (`[INFO file.cc:12] message`); the optional file sink receives JSON
+// lines, one object per record:
 //
 //   {"ts":1754500000.123456,"level":"info","file":"pipeline.cc",
 //    "line":15,"thread":0,"message":"..."}
@@ -45,11 +45,6 @@ Result<LogLevel> ParseLogLevel(std::string_view name);
 /// Applies the MICTREND_LOG_LEVEL environment variable, when set to a
 /// parseable level name. Call once at process start (the CLI does).
 void ApplyLogLevelFromEnv();
-
-/// Stderr sink rendering: classic human text (default) or JSON lines.
-enum class LogFormat { kText, kJson };
-LogFormat GetLogFormat();
-void SetLogFormat(LogFormat format);
 
 /// Opens `path` as a JSON-lines log sink alongside stderr (truncates an
 /// existing file); IoError when the file cannot be opened. The sink

@@ -192,8 +192,8 @@ std::uint64_t MonthContentDigest(const MonthlyDataset& raw_month,
 // several pairs, so the application order is a floating-point contract:
 // sorting makes a freshly fitted model and its deserialized snapshot
 // (whose map iteration orders differ) produce byte-identical series.
-void AddCountsSorted(const PairCounts& counts, std::size_t t,
-                     SeriesSet& series) {
+void ApplyCountsSorted(const PairCounts& counts, std::size_t t,
+                       SeriesSet& series) {
   std::vector<std::pair<std::uint64_t, double>> ordered(
       counts.raw().begin(), counts.raw().end());
   std::sort(ordered.begin(), ordered.end());
@@ -312,7 +312,7 @@ Result<SeriesSet> ReproduceSeries(const MicCorpus& corpus,
       obs::Increment(fitted_counter);
     }
 
-    AddCountsSorted(*counts, t, series);
+    ApplyCountsSorted(*counts, t, series);
     if (proposed != nullptr && keep_previous) {
       previous_model = std::move(proposed);
     }

@@ -70,6 +70,24 @@ std::string WindowLabel(std::uint64_t lookback_seconds) {
                    static_cast<unsigned long long>(lookback_seconds));
 }
 
+// One cumulative counter family, one sample per channel.
+template <typename ValueFn>
+void AppendChannelCounterFamily(
+    std::string& out,
+    const std::vector<std::pair<std::string, const WindowedChannel*>>&
+        channels,
+    const std::string& family, std::string_view help, ValueFn&& value_of) {
+  AppendFamilyHeader(out, family, "counter", help);
+  for (const auto& [name, channel] : channels) {
+    out += family + "_total";
+    bool first = true;
+    AppendLabel(out, first, "channel", name);
+    out += "} ";
+    out += value_of(channel->Totals());
+    out += '\n';
+  }
+}
+
 // One windowed gauge family across every channel x lookback.
 template <typename ValueFn>
 void AppendWindowFamily(
@@ -146,6 +164,21 @@ std::string RenderOpenMetrics(const MetricsRegistry* metrics,
 
   if (windows != nullptr) {
     const auto channels = windows->Channels();
+    AppendChannelCounterFamily(out, channels, "mictrend_channel_requests",
+                               "requests per channel since start",
+                               [](const ChannelTotals& totals) {
+                                 return FormatValue(totals.requests);
+                               });
+    AppendChannelCounterFamily(out, channels, "mictrend_channel_errors",
+                               "errors per channel since start",
+                               [](const ChannelTotals& totals) {
+                                 return FormatValue(totals.errors);
+                               });
+    AppendChannelCounterFamily(out, channels, "mictrend_channel_seconds",
+                               "recorded seconds per channel since start",
+                               [](const ChannelTotals& totals) {
+                                 return FormatValue(totals.seconds());
+                               });
     AppendWindowFamily(out, *windows, channels,
                        "mictrend_window_requests",
                        "windowed request count per channel",

@@ -10,7 +10,12 @@
 //                           mictrend_a_b_seconds (both monotone)
 //   - Histogram "a.b"    -> histogram family mictrend_a_b with
 //                           cumulative le-labeled buckets, _count, _sum
-//   - WindowRegistry     -> gauge families mictrend_window_requests,
+//   - WindowRegistry     -> counter families mictrend_channel_requests,
+//                           _errors and _seconds (each channel's
+//                           since-start totals, samples
+//                           mictrend_channel_requests_total{
+//                           channel="serve.health"}), then gauge
+//                           families mictrend_window_requests,
 //                           _errors, _rps, _error_rate, and
 //                           mictrend_window_latency_seconds
 //                           (quantile-labeled), every sample labeled
@@ -32,8 +37,8 @@
 
 namespace mic::obs {
 
-/// "serve.requests.health" -> "mictrend_serve_requests_health"; any
-/// character outside [a-zA-Z0-9_:] becomes '_'.
+/// "serve.swap.stalls" -> "mictrend_serve_swap_stalls"; any character
+/// outside [a-zA-Z0-9_:] becomes '_'.
 std::string OpenMetricsName(std::string_view name);
 
 /// Renders both registries (either may be null) as one exposition.

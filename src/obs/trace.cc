@@ -76,7 +76,7 @@ ScopedTimer::ScopedTimer(Timer* timer, TraceLog* trace,
     }
     trace_->BeginEvent(trace_path_);
   }
-  if (timer_ != nullptr || trace_ != nullptr) start_ = Clock::now();
+  if (timer_ != nullptr) start_ = Clock::now();
 }
 
 ScopedTimer::~ScopedTimer() {

@@ -69,8 +69,8 @@ class Span {
 /// Timer*-taking constructor is the hot-path form: resolve the handle
 /// once, then construct against it per item (null handle = inert).
 /// The three-argument form additionally emits `<CurrentPath()>/<name>`
-/// begin/end events onto `trace` (null trace = timer only), putting
-/// per-item work on the trace timeline.
+/// begin/end events onto `trace` (null trace = timer only, null timer =
+/// trace events only), putting per-item work on the trace timeline.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Timer* timer);

@@ -81,44 +81,6 @@ void TraceLog::EndEvent(std::string_view name, std::uint64_t chunk) {
   Push(TraceEvent::Phase::kEnd, name, chunk);
 }
 
-std::uint64_t TraceLog::ThreadMark() {
-  return BufferForThisThread()->pushed.load(std::memory_order_relaxed);
-}
-
-void TraceLog::RetainSince(std::uint64_t mark, std::string_view label) {
-  // The ring is read lock-free: only the calling thread pushes into it,
-  // so [pushed - size, pushed) is stable here. Appending to retained_
-  // takes the log mutex, which is fine off the hot path (callers only
-  // retain requests that already blew the latency threshold).
-  ThreadBuffer* buffer = BufferForThisThread();
-  const std::uint64_t pushed =
-      buffer->pushed.load(std::memory_order_relaxed);
-  const std::size_t size = buffer->ring.size();
-  const std::uint64_t oldest = pushed - size;
-  const std::uint64_t from = std::max(mark, oldest);
-  if (from >= pushed) return;
-  RetainedTrace group;
-  group.label.assign(label);
-  group.tid = buffer->tid;
-  group.events.reserve(static_cast<std::size_t>(pushed - from));
-  for (std::uint64_t logical = from; logical < pushed; ++logical) {
-    group.events.push_back(buffer->ring[logical % size]);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  retained_.push_back(std::move(group));
-  while (retained_.size() > kRetainedGroupCap) retained_.pop_front();
-}
-
-std::vector<RetainedTrace> TraceLog::RetainedSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<RetainedTrace>(retained_.begin(), retained_.end());
-}
-
-std::size_t TraceLog::retained_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return retained_.size();
-}
-
 std::vector<ThreadTrace> TraceLog::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<ThreadTrace> snapshot;

@@ -9,7 +9,10 @@
 // registration and export-time snapshots. On ring wrap the oldest
 // events are overwritten and a per-thread drop counter advances, so a
 // saturated trace degrades to "most recent window + explicit drop
-// count" instead of silently truncating.
+// count" instead of silently truncating. The CLI builds every log at
+// the default capacity, 65,536 events per thread, and no flag changes
+// it: a long-running daemon's export holds its most recent requests,
+// and the obs.trace.dropped gauge counts what the rings overwrote.
 //
 // Feeders:
 //   - obs::Span / obs::ScopedTimer emit begin/end pairs when a TraceLog
@@ -41,7 +44,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -67,17 +69,6 @@ struct TraceEvent {
   std::uint64_t chunk = kNoChunk;
 
   static constexpr std::uint64_t kNoChunk = ~std::uint64_t{0};
-};
-
-/// One force-retained event group: a slow request's span tree copied
-/// out of its thread's ring before wrap could reclaim it (tail-based
-/// sampling — see TraceLog::RetainSince).
-struct RetainedTrace {
-  /// Caller-chosen tag, normally the request id.
-  std::string label;
-  /// tid of the thread whose ring the events came from.
-  std::uint32_t tid = 0;
-  std::vector<TraceEvent> events;
 };
 
 /// Export-time view of one thread's ring: the surviving events in
@@ -124,23 +115,6 @@ class TraceLog {
   /// atomic — unlike Snapshot(), which needs quiescence.
   std::uint64_t dropped_count() const;
 
-  /// Tail-based slow-request sampling. ThreadMark() returns the calling
-  /// thread's current logical ring position; after the request
-  /// finishes, a caller that measured it slow passes the mark back to
-  /// RetainSince, which copies every event the thread recorded since
-  /// (those the ring still holds) into a pinned retained set the wrap
-  /// can never reclaim. Bounded to kRetainedGroupCap groups,
-  /// oldest-group eviction. Both calls are cheap enough for the serve
-  /// request path: ThreadMark is a thread-local read and RetainSince
-  /// only runs for requests that already blew the latency threshold.
-  std::uint64_t ThreadMark();
-  void RetainSince(std::uint64_t mark, std::string_view label);
-  /// Retained groups, oldest first.
-  std::vector<RetainedTrace> RetainedSnapshot() const;
-  std::size_t retained_count() const;
-
-  static constexpr std::size_t kRetainedGroupCap = 64;
-
   /// Chrome-trace JSON: {"traceEvents":[...],"displayTimeUnit":"ms",
   /// "droppedEvents":N}. Events are "B"/"E" pairs (ts in microseconds,
   /// pid 1, tid = registration order) preceded by thread_name metadata;
@@ -168,9 +142,8 @@ class TraceLog {
   const std::uint64_t log_id_;  // Key for the thread-local buffer cache.
   const std::chrono::steady_clock::time_point epoch_;
 
-  mutable std::mutex mu_;  // Guards registration, snapshots, retained_.
+  mutable std::mutex mu_;  // Guards registration and snapshots.
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-  std::deque<RetainedTrace> retained_;
 };
 
 /// Writes ToChromeTraceJson() (plus a trailing newline) to `path`.

@@ -82,24 +82,34 @@ WindowedChannel::Slot* WindowedChannel::ActiveSlot() {
       // torn value (every field is an atomic).
       slot->hist.Reset();
       slot->errors.store(0, std::memory_order_relaxed);
-      slot->extra.store(0, std::memory_order_relaxed);
       return slot;
     }
   }
 }
 
 void WindowedChannel::Record(double value, bool error) {
+  // The totals take every sample, including one a lost turnover race
+  // drops from the windows below. Integer nanoseconds keep the sum
+  // exact under concurrent adds; the bound keeps the cast defined for
+  // any value (NaN fails both comparisons).
+  total_requests_.fetch_add(1, std::memory_order_relaxed);
+  if (error) total_errors_.fetch_add(1, std::memory_order_relaxed);
+  if (value > 0.0 && value < 1e9) {
+    total_nanos_.fetch_add(static_cast<std::uint64_t>(value * 1e9 + 0.5),
+                           std::memory_order_relaxed);
+  }
   Slot* slot = ActiveSlot();
   if (slot == nullptr) return;
   slot->hist.Observe(value);
   if (error) slot->errors.fetch_add(1, std::memory_order_relaxed);
 }
 
-void WindowedChannel::AddCount(std::uint64_t delta) {
-  if (delta == 0) return;
-  Slot* slot = ActiveSlot();
-  if (slot == nullptr) return;
-  slot->extra.fetch_add(delta, std::memory_order_relaxed);
+ChannelTotals WindowedChannel::Totals() const {
+  ChannelTotals totals;
+  totals.requests = total_requests_.load(std::memory_order_relaxed);
+  totals.errors = total_errors_.load(std::memory_order_relaxed);
+  totals.nanos = total_nanos_.load(std::memory_order_relaxed);
+  return totals;
 }
 
 WindowStats WindowedChannel::Aggregate(std::uint64_t lookback_ns) const {
@@ -113,7 +123,6 @@ WindowStats WindowedChannel::Aggregate(std::uint64_t lookback_ns) const {
   const std::vector<double>& edges = slots_[0]->hist.edges();
   std::vector<std::uint64_t> buckets(edges.size() + 1, 0);
   WindowStats stats;
-  std::uint64_t observed = 0;
   double sum = 0.0;
   for (const std::unique_ptr<Slot>& slot : slots_) {
     const std::uint64_t epoch =
@@ -125,7 +134,6 @@ WindowStats WindowedChannel::Aggregate(std::uint64_t lookback_ns) const {
     std::uint64_t slot_observed = slot->hist.count();
     std::uint64_t slot_errors =
         slot->errors.load(std::memory_order_relaxed);
-    std::uint64_t slot_extra = slot->extra.load(std::memory_order_relaxed);
     double slot_sum = slot->hist.sum();
     std::vector<std::uint64_t> slot_buckets(buckets.size(), 0);
     for (std::size_t i = 0; i < slot_buckets.size(); ++i) {
@@ -137,9 +145,8 @@ WindowStats WindowedChannel::Aggregate(std::uint64_t lookback_ns) const {
       // two windows.
       continue;
     }
-    observed += slot_observed;
+    stats.count += slot_observed;
     stats.errors += slot_errors;
-    stats.count += slot_observed + slot_extra;
     sum += slot_sum;
     for (std::size_t i = 0; i < buckets.size(); ++i) {
       buckets[i] += slot_buckets[i];
@@ -153,12 +160,10 @@ WindowStats WindowedChannel::Aggregate(std::uint64_t lookback_ns) const {
   if (stats.count > 0) {
     stats.error_rate =
         static_cast<double>(stats.errors) / static_cast<double>(stats.count);
-  }
-  if (observed > 0) {
-    stats.mean = sum / static_cast<double>(observed);
-    stats.p50 = QuantileEdge(edges, buckets, observed, 0.50);
-    stats.p95 = QuantileEdge(edges, buckets, observed, 0.95);
-    stats.p99 = QuantileEdge(edges, buckets, observed, 0.99);
+    stats.mean = sum / static_cast<double>(stats.count);
+    stats.p50 = QuantileEdge(edges, buckets, stats.count, 0.50);
+    stats.p95 = QuantileEdge(edges, buckets, stats.count, 0.95);
+    stats.p99 = QuantileEdge(edges, buckets, stats.count, 0.99);
     for (std::size_t i = buckets.size(); i-- > 0;) {
       if (buckets[i] > 0) {
         stats.max = i < edges.size() ? edges[i] : edges.back();
@@ -222,7 +227,20 @@ std::string WindowRegistry::ToJson() const {
                                      options_.slot_width_ns) *
                                  1e-9) +
                     ",\"slots\":" +
-                    FormatUint(options_.num_slots) + ",\"windows\":{";
+                    FormatUint(options_.num_slots) + ",\"totals\":{";
+  bool first_total = true;
+  for (const auto& [name, channel] : channels) {
+    const ChannelTotals totals = channel->Totals();
+    if (!first_total) out += ',';
+    first_total = false;
+    out += '"';
+    out += name;
+    out += "\":{\"requests\":" + FormatUint(totals.requests) +
+           ",\"errors\":" + FormatUint(totals.errors) +
+           ",\"seconds\":" + FormatDouble(totals.seconds()) +
+           '}';
+  }
+  out += "},\"windows\":{";
   bool first_window = true;
   for (const std::uint64_t lookback : options_.lookback_seconds) {
     if (!first_window) out += ',';

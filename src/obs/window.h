@@ -5,22 +5,30 @@
 // A WindowRegistry holds named channels (one per serve endpoint or
 // internal stage). Each channel is a fixed ring of time slots
 // (default 10 s x 60 slots = a 10-minute horizon); a slot embeds one
-// obs::Histogram plus error/count atomics and is stamped with the
-// absolute slot epoch it currently holds. Recording is lock-free: the
-// recorder computes the current epoch from the clock, CASes the slot's
-// epoch forward if the ring has wrapped past it (the CAS winner resets
-// the slot), and then observes into the slot's histogram. Aggregation
+// obs::Histogram plus an error atomic and is stamped with the absolute
+// slot epoch it currently holds. Recording is lock-free: the recorder
+// computes the current epoch from the clock, CASes the slot's epoch
+// forward if the ring has wrapped past it (the CAS winner resets the
+// slot), and then observes into the slot's histogram. Aggregation
 // merges the slots whose epoch falls inside the requested lookback and
 // derives count, error rate, rps, mean, and p50/p95/p99 from the merged
 // buckets.
 //
+// Next to the ring, every channel keeps cumulative totals (requests,
+// errors, integer nanoseconds) that no slot turnover resets. They are
+// the channel's counters: ToJson() carries them as "totals" and the
+// OpenMetrics renderer as the mictrend_channel_*_total families, so a
+// serve op needs no second instrument for its since-start counts.
+//
 // Concurrency contract: every field a recorder or reader touches is an
 // atomic, so the structure is race-free (TSan-clean) at any thread
 // count. Samples racing a slot turnover can land in a slot that is
-// being reset and be lost, and an aggregation racing a turnover skips
-// the slot it caught mid-reset — bounded smear that telemetry
-// tolerates, never a torn value. Single-threaded use with an injected
-// clock is exactly deterministic, which is what the tests pin.
+// being reset and be lost from the windows, and an aggregation racing a
+// turnover skips the slot it caught mid-reset — bounded smear that
+// telemetry tolerates, never a torn value. The totals lose nothing:
+// each Record() adds to them whatever happens to its slot. Single-
+// threaded use with an injected clock is exactly deterministic, which
+// is what the tests pin.
 //
 // The clock is injectable (nanoseconds, monotone) so tests drive the
 // window by hand; the default is the steady clock relative to the
@@ -66,7 +74,7 @@ const std::vector<double>& DefaultLatencyEdgesSeconds();
 
 /// One lookback's merged view of a channel.
 struct WindowStats {
-  std::uint64_t count = 0;   // Record() observations + AddCount() deltas
+  std::uint64_t count = 0;   // Record() observations
   std::uint64_t errors = 0;
   double rps = 0.0;          // count / lookback seconds
   double error_rate = 0.0;   // errors / count (0 when count == 0)
@@ -77,6 +85,16 @@ struct WindowStats {
   double max = 0.0;          // upper edge of the highest non-empty bucket
 };
 
+/// A channel's cumulative counts since its creation.
+struct ChannelTotals {
+  std::uint64_t requests = 0;  // Record() calls
+  std::uint64_t errors = 0;    // Record() calls with error set
+  std::uint64_t nanos = 0;     // sum of Record() values, in nanoseconds
+
+  /// `nanos` in seconds: the one conversion every sink renders.
+  double seconds() const { return static_cast<double>(nanos) / 1e9; }
+};
+
 class WindowRegistry;
 
 /// One endpoint's (or stage's) slot ring. Create via
@@ -84,15 +102,12 @@ class WindowRegistry;
 /// lifetime, so resolve once and record lock-free.
 class WindowedChannel {
  public:
-  /// Observes one value (seconds for latency channels) in the current
-  /// slot; `error` additionally advances the slot's error count.
+  /// Observes one value in seconds in the current slot and in the
+  /// totals; `error` additionally advances both error counts.
   void Record(double value, bool error = false);
 
-  /// Advances the current slot's count by `delta` without touching the
-  /// value histogram — for channels that window a rate of externally
-  /// counted events (trace-ring drops), where only count/rps are
-  /// meaningful.
-  void AddCount(std::uint64_t delta);
+  /// The cumulative counts; monotone, never reset by slot turnover.
+  ChannelTotals Totals() const;
 
   /// Merged stats over the trailing `lookback_ns` (rounded up to whole
   /// slots, clamped to the ring horizon), ending at the current
@@ -108,9 +123,6 @@ class WindowedChannel {
     /// kEmptyEpoch before first use.
     std::atomic<std::uint64_t> epoch{kEmptyEpoch};
     std::atomic<std::uint64_t> errors{0};
-    /// AddCount() deltas; kept apart from hist so count-only channels
-    /// do not skew the value quantiles.
-    std::atomic<std::uint64_t> extra{0};
     Histogram hist;
   };
 
@@ -125,6 +137,9 @@ class WindowedChannel {
 
   const WindowRegistry* owner_;
   std::vector<std::unique_ptr<Slot>> slots_;
+  std::atomic<std::uint64_t> total_requests_{0};
+  std::atomic<std::uint64_t> total_errors_{0};
+  std::atomic<std::uint64_t> total_nanos_{0};
 };
 
 /// Thread-safe registry of named windowed channels. The mutex guards
@@ -153,11 +168,13 @@ class WindowRegistry {
   std::vector<std::pair<std::string, const WindowedChannel*>> Channels()
       const;
 
-  /// Deterministic snapshot of every channel at every configured
-  /// lookback:
-  /// {"slot_width_seconds":10,"slots":60,"windows":{"60s":{"serve.health":
-  /// {"count":...,"errors":...,"rps":...,"error_rate":...,"mean":...,
-  /// "p50":...,"p95":...,"p99":...,"max":...},...},...}}
+  /// Deterministic snapshot of every channel's totals and of every
+  /// channel at every configured lookback:
+  /// {"slot_width_seconds":10,"slots":60,"totals":{"serve.health":
+  /// {"requests":...,"errors":...,"seconds":...},...},"windows":{"60s":
+  /// {"serve.health":{"count":...,"errors":...,"rps":...,
+  /// "error_rate":...,"mean":...,"p50":...,"p95":...,"p99":...,
+  /// "max":...},...},...}}
   /// This exact payload backs both the HTTP /varz body and the framed
   /// `stats` op, so the two can never drift.
   std::string ToJson() const;
@@ -172,13 +189,10 @@ class WindowRegistry {
       channels_;
 };
 
-/// Null-safe updates, mirroring the metrics.h helpers.
+/// Null-safe update, mirroring the metrics.h helpers.
 inline void Record(WindowedChannel* channel, double value,
                    bool error = false) {
   if (channel != nullptr) channel->Record(value, error);
-}
-inline void AddCount(WindowedChannel* channel, std::uint64_t delta) {
-  if (channel != nullptr) channel->AddCount(delta);
 }
 
 }  // namespace mic::obs

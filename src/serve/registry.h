@@ -3,7 +3,7 @@
 // schema, and how a CLI client should treat the response body. The
 // table is the single source of truth shared by:
 //   - the service dispatcher (src/serve/service.cc): request routing,
-//     per-op metric slots, and pre-handler validation (unknown
+//     per-op window channels, and pre-handler validation (unknown
 //     parameters are REJECTED with bad_request naming the offender —
 //     a protocol-version-2 behavior; see docs/serve_protocol.md),
 //   - the CLI (`mictrend query`, tools/): per-op flag validation and
@@ -79,19 +79,19 @@ struct EndpointSpec {
 };
 
 /// Number of framed ops (= EndpointTable().size(); a static_assert in
-/// registry.cc pins it). The service sizes its metric-slot array with
-/// this at compile time.
+/// registry.cc pins it). The service sizes its per-op channel array
+/// with this at compile time.
 inline constexpr std::size_t kNumEndpoints = 12;
 
-/// Every framed op, in dispatch order (the service's metric slots and
-/// handler table bind to this order).
+/// Every framed op, in dispatch order (the service's per-op channels
+/// and handler table bind to this order).
 std::span<const EndpointSpec> EndpointTable();
 
 /// Table row by op name; nullptr for unknown ops.
 const EndpointSpec* FindEndpoint(std::string_view op);
 
 /// Index of `op` in EndpointTable(); EndpointTable().size() when
-/// unknown (the metric catch-all slot).
+/// unknown (the "serve.unknown" catch-all channel).
 std::size_t EndpointIndex(std::string_view op);
 
 /// Schema validation for one request against `spec`:

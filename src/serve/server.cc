@@ -52,6 +52,12 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// The accept-retry and watchdog cadence: the configured poll interval,
+/// or 100 ms when none is set.
+int PollIntervalMs(const WireLimits& limits) {
+  return limits.poll_interval_ms > 0 ? limits.poll_interval_ms : 100;
+}
+
 /// Window channel name for an HTTP target: known endpoints get their
 /// own channel, everything else shares "http.other" so arbitrary 404
 /// probing cannot grow the channel map without bound.
@@ -140,12 +146,10 @@ Result<std::unique_ptr<TcpServer>> TcpServer::Start(
   obs::MetricsRegistry* metrics = service->metrics();
   server->overload_rejections_ =
       obs::GetCounter(metrics, "serve.overload_rejections");
+  server->accept_errors_ = obs::GetCounter(metrics, "serve.accept_errors");
   server->swap_stalls_ = obs::GetCounter(metrics, "serve.swap.stalls");
   server->queue_depth_ = obs::GetGauge(metrics, "serve.queue_depth");
   server->trace_dropped_ = obs::GetGauge(metrics, "obs.trace.dropped");
-  server->trace_retained_ = obs::GetGauge(metrics, "obs.trace.retained");
-  server->drop_window_ =
-      service->windows()->channel("obs.trace.dropped");
   server->workers_.reserve(
       static_cast<std::size_t>(clamped.num_workers));
   for (int i = 0; i < clamped.num_workers; ++i) {
@@ -174,6 +178,8 @@ void TcpServer::RequestStop() {
 }
 
 Status TcpServer::Serve(const std::atomic<bool>* external_stop) {
+  // Set while accept() keeps failing, so one episode logs one warning.
+  bool accept_failing = false;
   while (!stop_.load(std::memory_order_seq_cst)) {
     if (service_->shutdown_requested() ||
         (external_stop != nullptr &&
@@ -195,14 +201,33 @@ Status TcpServer::Serve(const std::atomic<bool>* external_stop) {
     if (ready == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
+      const int error = errno;
+      if (error == EINTR || error == EAGAIN || error == EWOULDBLOCK) {
         continue;
       }
-      RequestStop();
-      Shutdown();
-      return Status::IoError(std::string("accept failed: ") +
-                             std::strerror(errno));
+      if (error == EBADF || error == EINVAL || error == ENOTSOCK) {
+        RequestStop();
+        Shutdown();
+        return Status::IoError(std::string("accept failed: ") +
+                               std::strerror(error));
+      }
+      obs::Increment(accept_errors_);
+      if (!accept_failing) {
+        MIC_LOG(Warning) << "accept failed: " << std::strerror(error)
+                         << " (still serving)";
+        accept_failing = true;
+      }
+      if (error == EMFILE || error == ENFILE || error == ENOBUFS ||
+          error == ENOMEM) {
+        // The connection stays in the backlog and keeps the listen
+        // socket readable, so retrying at once would spin until an fd
+        // frees up.
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(PollIntervalMs(options_.limits)));
+      }
+      continue;
     }
+    accept_failing = false;
     // Framed or HTTP, every reply is one send, but a reply longer than
     // one segment still ends in a short one, which Nagle's algorithm
     // holds until the client ACKs the rest.
@@ -270,7 +295,6 @@ void TcpServer::WorkerMain() {
 }
 
 void TcpServer::ServeConnection(int fd, const SnapshotReader& reader) {
-  obs::TraceLog* trace = service_->trace();
   for (bool first = true;; first = false) {
     Result<FramePrefix> prefix =
         ReadFramePrefix(fd, options_.limits, &stop_);
@@ -304,8 +328,6 @@ void TcpServer::ServeConnection(int fd, const SnapshotReader& reader) {
       return;  // clean EOF, stop, timeout, or torn frame: just close
     }
     const std::string rid = NextRequestId();
-    const std::uint64_t trace_mark =
-        trace == nullptr ? 0 : trace->ThreadMark();
     const auto start = std::chrono::steady_clock::now();
     Result<JsonValue> request = JsonValue::Parse(*payload);
     JsonValue response;
@@ -324,11 +346,6 @@ void TcpServer::ServeConnection(int fd, const SnapshotReader& reader) {
     const Status write_status =
         WriteFrame(fd, body, options_.limits.max_frame_bytes);
     const double seconds = SecondsSince(start);
-    if (trace != nullptr && options_.slow_request_threshold_ms > 0 &&
-        seconds * 1000.0 >=
-            static_cast<double>(options_.slow_request_threshold_ms)) {
-      trace->RetainSince(trace_mark, rid);
-    }
     if (access_log_ != nullptr) {
       AccessRecord record;
       record.id = rid;
@@ -408,14 +425,10 @@ void TcpServer::ServeHttp(int fd, const FramePrefix& prefix) {
 void TcpServer::WatchMain() {
   obs::TraceLog* trace = service_->trace();
   obs::WindowRegistry* windows = service_->windows();
-  std::uint64_t last_dropped =
-      trace == nullptr ? 0 : trace->dropped_count();
   // Swap-start stamp already counted as a stall, so one stuck drain is
   // one serve.swap.stalls increment no matter how long it lasts.
   std::uint64_t counted_stall_stamp = 0;
-  const int interval_ms = options_.limits.poll_interval_ms > 0
-                              ? options_.limits.poll_interval_ms
-                              : 100;
+  const int interval_ms = PollIntervalMs(options_.limits);
   while (!stop_.load(std::memory_order_seq_cst)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
     std::size_t depth = 0;
@@ -425,14 +438,7 @@ void TcpServer::WatchMain() {
     }
     obs::Set(queue_depth_, static_cast<double>(depth));
     if (trace != nullptr) {
-      const std::uint64_t dropped = trace->dropped_count();
-      obs::Set(trace_dropped_, static_cast<double>(dropped));
-      obs::Set(trace_retained_,
-               static_cast<double>(trace->retained_count()));
-      if (dropped > last_dropped) {
-        obs::AddCount(drop_window_, dropped - last_dropped);
-        last_dropped = dropped;
-      }
+      obs::Set(trace_dropped_, static_cast<double>(trace->dropped_count()));
     }
     if (options_.swap_stall_deadline_ms > 0) {
       const std::uint64_t started = service_->swap_started_ns();

@@ -6,7 +6,13 @@
 //   - the accept loop runs on the thread that calls Serve(), polling
 //     the listen socket so it observes stop conditions within one poll
 //     interval, and sets TCP_NODELAY on every accepted socket (see
-//     serve/wire.h for why);
+//     serve/wire.h for why). A failed accept() counts one
+//     `serve.accept_errors` and the loop keeps serving; after fd or
+//     memory exhaustion (EMFILE, ENFILE, ENOBUFS, ENOMEM) it first waits
+//     one poll interval, because the connection stays in the backlog
+//     and an immediate retry would spin. Only an error that means the
+//     listen socket itself is unusable (EBADF, EINVAL, ENOTSOCK) stops
+//     the server;
 //   - a fixed pool of worker threads each own one registered
 //     SnapshotReader (their hazard slot) and handle one connection at a
 //     time, request by request. The per-request path — read frame,
@@ -22,20 +28,19 @@
 //     `overloaded` and closed instead of queueing unboundedly.
 //
 // Observability (this transport layer, on top of the service's per-op
-// telemetry):
+// window channels):
 //   - every wire request gets a server-assigned id ("<hex>-<seq>"); a
 //     stack-only span makes the request's trace events nest under
 //     "req/<id>/...", and the same id keys the JSON-lines access log
 //     (ServerOptions::access_log_path) — the join point between log,
-//     trace, and metrics. Requests slower than
-//     slow_request_threshold_ms get their span tree force-retained in
-//     the trace ring (tail-based sampling, TraceLog::RetainSince).
+//     trace, and metrics.
 //   - plain HTTP GET/HEAD on the same port (detected from a
 //     connection's first four bytes) serves /metrics (OpenMetrics),
-//     /healthz, and /varz (the windowed-stats JSON) — see serve/http.h.
-//   - a watchdog thread samples queue depth and trace-ring drop/retain
-//     gauges each poll interval, feeds the drop delta into the
-//     "obs.trace.dropped" window channel, and counts a
+//     /healthz, and /varz (the windowed-stats JSON with per-channel
+//     totals) — see serve/http.h. Each path records into its own
+//     "http.*" window channel.
+//   - a watchdog thread samples the `serve.queue_depth` and
+//     `obs.trace.dropped` gauges each poll interval, and counts a
 //     `serve.swap.stalls` episode when a snapshot publish waits on
 //     readers longer than swap_stall_deadline_ms.
 //
@@ -79,9 +84,6 @@ struct ServerOptions {
   int max_pending = 64;
   /// JSON-lines access log path; empty disables the log.
   std::string access_log_path;
-  /// Requests slower than this get their trace-span tree force-retained
-  /// (tail-based sampling); <= 0 disables retention.
-  int slow_request_threshold_ms = 500;
   /// A snapshot publish waiting on readers longer than this counts one
   /// `serve.swap.stalls` episode; <= 0 disables the watchdog check.
   int swap_stall_deadline_ms = 1000;
@@ -126,7 +128,7 @@ class TcpServer {
   /// request line began with `prefix`, and returns; HTTP connections
   /// are one-shot.
   void ServeHttp(int fd, const FramePrefix& prefix);
-  /// The self-watching loop: queue depth, trace-drop rate, swap-stall
+  /// The self-watching loop: queue depth, trace drops, swap-stall
   /// detection. Runs until stop, sampling each poll interval.
   void WatchMain();
   /// "<hex prefix>-<seq>": unique within the process, prefix-distinct
@@ -147,12 +149,10 @@ class TcpServer {
 
   /// Pre-resolved telemetry handles (null without a registry).
   obs::Counter* overload_rejections_ = nullptr;
+  obs::Counter* accept_errors_ = nullptr;
   obs::Counter* swap_stalls_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;
   obs::Gauge* trace_dropped_ = nullptr;
-  obs::Gauge* trace_retained_ = nullptr;
-  /// Window channel fed the per-interval trace-drop delta.
-  obs::WindowedChannel* drop_window_ = nullptr;
 
   std::atomic<bool> stop_{false};
   std::mutex mu_;

@@ -120,21 +120,11 @@ TrendService::TrendService(const trend::PipelineConfig& config,
                            store::ClaimStore store)
     : config_(config), context_(context), store_(std::move(store)),
       windows_(std::make_unique<obs::WindowRegistry>()) {
-  // One metric row per registry op plus the unknown-op catch-all,
-  // pre-resolved once so the query path never takes the metrics
-  // registry's name-resolution mutex.
   const std::span<const EndpointSpec> endpoints = EndpointTable();
   for (std::size_t i = 0; i < kNumOpSlots; ++i) {
-    const std::string name = i == endpoints.size()
-                                 ? std::string("unknown")
-                                 : std::string(endpoints[i].name);
-    op_metrics_[i].requests =
-        obs::GetCounter(context_.metrics, "serve.requests." + name);
-    op_metrics_[i].errors =
-        obs::GetCounter(context_.metrics, "serve.errors." + name);
-    op_metrics_[i].latency =
-        obs::GetTimer(context_.metrics, "serve.latency." + name);
-    op_metrics_[i].window = windows_->channel("serve." + name);
+    const std::string_view name =
+        i == endpoints.size() ? "unknown" : endpoints[i].name;
+    op_windows_[i] = windows_->channel("serve." + std::string(name));
   }
   drain_channel_ = windows_->channel("serve.swap.drain");
 }
@@ -173,15 +163,12 @@ Result<std::unique_ptr<TrendService>> TrendService::Create(
 JsonValue TrendService::Handle(const JsonValue& request,
                                const SnapshotReader& reader) {
   const std::string op = request.GetString("op");
-  const OpMetricHandles& op_metrics = op_metrics_[EndpointIndex(op)];
-  obs::Increment(op_metrics.requests);
   const auto start = std::chrono::steady_clock::now();
   JsonValue response;
   {
     // The trace event nests under the transport's current span path
     // ("req/<id>/serve/<op>" when the server opened a request span).
-    obs::ScopedTimer timer(op_metrics.latency, context_.trace,
-                           "serve/" + op);
+    obs::ScopedTimer trace_event(nullptr, context_.trace, "serve/" + op);
     const std::int64_t protocol =
         request.GetInt("protocol", kProtocolVersion);
     if (protocol != kProtocolVersion) {
@@ -199,9 +186,8 @@ JsonValue TrendService::Handle(const JsonValue& request,
       std::chrono::duration_cast<std::chrono::duration<double>>(
           std::chrono::steady_clock::now() - start)
           .count();
-  const bool ok = response.GetBool("ok", false);
-  if (!ok) obs::Increment(op_metrics.errors);
-  obs::Record(op_metrics.window, seconds, !ok);
+  op_windows_[EndpointIndex(op)]->Record(seconds,
+                                         !response.GetBool("ok", false));
   return response;
 }
 
@@ -582,8 +568,6 @@ Result<JsonValue> TrendService::HandleIngest(const JsonValue& request) {
   obs::Increment(obs::GetCounter(context_.metrics,
                                  "serve.ingest.months_appended"),
                  appended);
-  obs::Set(obs::GetGauge(context_.metrics, "serve.swap.drain_seconds"),
-           drain_seconds);
   JsonValue data = JsonValue::Object();
   data.Set("appended",
            JsonValue::Int(static_cast<std::int64_t>(appended)));

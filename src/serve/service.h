@@ -17,14 +17,16 @@
 // that one response is internally consistent — all fields from one
 // snapshot, never torn across a swap.
 //
-// Observability: each op increments serve.requests.<op>, failures add
-// serve.errors.<op>, latency lands in the serve.latency.<op> timer and
-// the "serve.<op>" sliding-window channel (rolling p50/p95/p99, rps,
-// error rate — see obs/window.h), and each request emits a
-// "serve/<op>" trace event nested under whatever span path the
-// transport opened (the server's per-request "req/<id>" path). Ingest
-// additionally maintains serve.ingest.months_appended,
-// serve.snapshots_published, the serve.swap.drain_seconds gauge, the
+// Observability: each request records its latency and outcome once,
+// into the "serve.<op>" window channel (unknown ops share
+// "serve.unknown"). That one instrument serves every reader: rolling
+// p50/p95/p99, rps and error rate per window, plus the since-start
+// request, error and seconds totals that `stats`, /varz and the
+// mictrend_channel_*_total OpenMetrics families report (obs/window.h).
+// Each request also emits a "serve/<op>" trace event nested under
+// whatever span path the transport opened (the server's per-request
+// "req/<id>" path). Ingest additionally maintains
+// serve.ingest.months_appended, serve.snapshots_published, the
 // "serve.swap.drain" window channel, and the swap_started_ns() stamp
 // the server's stall watchdog samples.
 
@@ -48,8 +50,6 @@
 #include "trend/pipeline.h"
 
 namespace mic::obs {
-class Counter;
-class Timer;
 class TraceLog;
 }  // namespace mic::obs
 
@@ -88,8 +88,9 @@ class TrendService {
   obs::TraceLog* trace() const { return context_.trace; }
 
   /// The service's sliding-window telemetry (never null): one channel
-  /// per op ("serve.health", ...) plus "serve.swap.drain". Its ToJson()
-  /// is both the HTTP /varz body and the framed `stats` payload.
+  /// per op ("serve.health", ..., "serve.unknown") plus
+  /// "serve.swap.drain". Its ToJson() is both the HTTP /varz body and
+  /// the framed `stats` payload.
   obs::WindowRegistry* windows() const { return windows_.get(); }
 
   /// Timestamp (windows()->NowNs() clock) when an in-flight snapshot
@@ -123,8 +124,9 @@ class TrendService {
                                  const WorldSnapshot& snapshot);
   Result<JsonValue> HandleMetrics(const JsonValue& request,
                                   const WorldSnapshot& snapshot);
-  /// The windowed-telemetry snapshot (windows()->ToJson() parsed into
-  /// the envelope), for `mictrend query --op stats`.
+  /// The windowed-telemetry snapshot with its per-channel totals
+  /// (windows()->ToJson() parsed into the envelope), for
+  /// `mictrend query --op stats`.
   Result<JsonValue> HandleStats(const JsonValue& request,
                                 const WorldSnapshot& snapshot);
   Result<JsonValue> HandleSeries(const JsonValue& request,
@@ -151,26 +153,17 @@ class TrendService {
   /// publishes the next snapshot version.
   Result<JsonValue> HandleIngest(const JsonValue& request);
 
-  /// Pre-resolved per-op metric handles (one row per known op plus a
-  /// trailing catch-all for unknown ops), so the query path never takes
-  /// the registry's name-resolution mutex. All null when the context
-  /// carries no registry.
-  struct OpMetricHandles {
-    obs::Counter* requests = nullptr;
-    obs::Counter* errors = nullptr;
-    obs::Timer* latency = nullptr;
-    /// Sliding-window channel "serve.<op>" (always non-null: the
-    /// window registry exists even without a metrics registry).
-    obs::WindowedChannel* window = nullptr;
-  };
   static constexpr std::size_t kNumOpSlots = kNumEndpoints + 1;
 
   trend::PipelineConfig config_;
   ExecContext context_;
   store::ClaimStore store_;
   SnapshotHub hub_;
-  std::array<OpMetricHandles, kNumOpSlots> op_metrics_;
   std::unique_ptr<obs::WindowRegistry> windows_;
+  /// Channel "serve.<op>" per registry op plus a trailing "serve.unknown"
+  /// catch-all, resolved once so the query path never takes the window
+  /// registry's name-resolution mutex.
+  std::array<obs::WindowedChannel*, kNumOpSlots> op_windows_{};
   obs::WindowedChannel* drain_channel_ = nullptr;
   std::atomic<std::uint64_t> swap_started_ns_{0};
 

@@ -34,11 +34,6 @@ std::vector<std::vector<double>> BuildRegressors(
 }  // namespace
 
 Status FitOptions::Validate() const {
-  if (kernel != KalmanKernel::kAuto && kernel != KalmanKernel::kDynamic &&
-      kernel != KalmanKernel::kFixed) {
-    return Status::InvalidArgument(
-        "fit.kernel must be auto, dynamic, or fixed");
-  }
   if (restarts < 0) {
     return Status::InvalidArgument("fit.restarts must be >= 0");
   }
@@ -70,13 +65,6 @@ Result<FittedStructuralModel> FitStructuralModel(
     return Status::InvalidArgument(
         "series too short for spec " + spec.ToString() + ": " +
         std::to_string(n) + " observations");
-  }
-  if (options.kernel == KalmanKernel::kFixed &&
-      !HasFixedKernel(static_cast<std::size_t>(spec.NumDiffuseStates()))) {
-    return Status::InvalidArgument(
-        "fit.kernel is fixed but state dimension " +
-        std::to_string(spec.NumDiffuseStates()) +
-        " has no compiled kernel");
   }
   for (const Intervention& intervention : spec.interventions) {
     if (intervention.change_point < 0 || intervention.change_point >= n) {
@@ -112,22 +100,19 @@ Result<FittedStructuralModel> FitStructuralModel(
     MIC_ASSIGN_OR_RETURN(StateSpaceModel model,
                          BuildStructuralModel(spec, variances));
     if (regressors.empty()) {
-      MIC_ASSIGN_OR_RETURN(
-          FilterResult filtered,
-          RunFilterKernel(options.kernel, model, series));
+      MIC_ASSIGN_OR_RETURN(FilterResult filtered,
+                           DispatchFilter(model, series));
       return filtered.log_likelihood;
     }
     if (single) {
-      MIC_ASSIGN_OR_RETURN(RegressionFilterResult filtered,
-                           RunFilterWithRegressionKernel(
-                               options.kernel, model, series,
-                               regressors.front()));
+      MIC_ASSIGN_OR_RETURN(
+          RegressionFilterResult filtered,
+          DispatchFilterWithRegression(model, series, regressors.front()));
       return filtered.profiled_log_likelihood;
     }
     MIC_ASSIGN_OR_RETURN(
         MultiRegressionFilterResult filtered,
-        RunFilterWithRegressorsKernel(options.kernel, model, series,
-                                      regressors));
+        DispatchFilterWithRegressors(model, series, regressors));
     return filtered.profiled_log_likelihood;
   };
 
@@ -180,9 +165,8 @@ Result<FittedStructuralModel> FitStructuralModel(
   if (single) {
     ++kalman_passes;
     MIC_ASSIGN_OR_RETURN(RegressionFilterResult filtered,
-                         RunFilterWithRegressionKernel(
-                             options.kernel, fitted.model, series,
-                             regressors.front()));
+                         DispatchFilterWithRegression(fitted.model, series,
+                                                      regressors.front()));
     fitted.lambdas = {filtered.lambda};
     fitted.lambda = filtered.lambda;
     fitted.lambda_variance = filtered.lambda_variance;
@@ -190,8 +174,7 @@ Result<FittedStructuralModel> FitStructuralModel(
     ++kalman_passes;
     MIC_ASSIGN_OR_RETURN(
         MultiRegressionFilterResult filtered,
-        RunFilterWithRegressorsKernel(options.kernel, fitted.model, series,
-                                      regressors));
+        DispatchFilterWithRegressors(fitted.model, series, regressors));
     fitted.lambdas = filtered.lambdas;
     fitted.lambda = filtered.lambdas.empty() ? 0.0 : filtered.lambdas[0];
   }

@@ -30,16 +30,10 @@ namespace mic::ssm {
 
 /// One options struct for the ssm::Fit* entry points, mirroring the
 /// layered trend::PipelineConfig idiom: every knob is a named field with
-/// a Validate() that reports the exact field path, and the fixed/dynamic
-/// Kalman kernel choice is one explicit field instead of an overload
-/// set.
+/// a Validate() that reports the exact field path. Every Kalman pass of
+/// a fit runs through the Dispatch* entry points of kalman_fixed.h,
+/// which pick the kernel from the state dimension.
 struct FitOptions {
-  /// Which filter implementation runs the Kalman passes. kAuto resolves
-  /// to the compile-time fixed-dimension kernel when the model's state
-  /// dimension has one (bit-exact with the dynamic path) and to the
-  /// dynamic path otherwise; kFixed fails the fit up front when the
-  /// dimension has no compiled kernel.
-  KalmanKernel kernel = KalmanKernel::kAuto;
   NelderMeadOptions optimizer;
   /// Nelder-Mead restarts from the incumbent optimum with a halved
   /// initial step; cheap insurance against premature simplex collapse

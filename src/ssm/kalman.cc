@@ -31,18 +31,6 @@ void AdvanceCovariance(const StateSpaceModel& model, KalmanWorkspace& ws,
 
 }  // namespace
 
-std::string_view KalmanKernelName(KalmanKernel kernel) {
-  switch (kernel) {
-    case KalmanKernel::kAuto:
-      return "auto";
-    case KalmanKernel::kDynamic:
-      return "dynamic";
-    case KalmanKernel::kFixed:
-      return "fixed";
-  }
-  return "?";
-}
-
 KalmanWorkspace& KalmanWorkspace::ThreadLocal() {
   static thread_local KalmanWorkspace workspace;
   return workspace;

@@ -9,7 +9,6 @@
 #define MICTREND_SSM_KALMAN_H_
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -17,20 +16,6 @@
 #include "ssm/model.h"
 
 namespace mic::ssm {
-
-/// Which filter implementation a fit runs on. The dynamic path works
-/// for any state dimension; the fixed path (kalman_fixed.h) is a
-/// compile-time specialization for the structural model's small fixed
-/// dimensions (flat stack arrays, no heap) that is bit-exact with the
-/// dynamic path. kAuto picks fixed whenever the model's dimension has a
-/// compiled kernel.
-enum class KalmanKernel : int {
-  kAuto = 0,
-  kDynamic = 1,
-  kFixed = 2,
-};
-
-std::string_view KalmanKernelName(KalmanKernel kernel);
 
 /// Output of one filtering pass.
 struct FilterResult {

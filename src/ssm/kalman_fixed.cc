@@ -577,7 +577,7 @@ Status NoKernelError(std::size_t dim) {
   return Status::InvalidArgument(
       "no fixed Kalman kernel compiled for state dimension " +
       std::to_string(dim) +
-      " (use KalmanKernel::kAuto or kDynamic, or add the dimension to "
+      " (use the Dispatch* entry points, or add the dimension to "
       "kalman_fixed.cc)");
 }
 
@@ -637,45 +637,29 @@ Result<MultiRegressionFilterResult> RunFilterWithRegressorsFixed(
   }
 }
 
-bool ResolveToFixedKernel(KalmanKernel kernel,
-                          const StateSpaceModel& model) {
-  switch (kernel) {
-    case KalmanKernel::kDynamic:
-      return false;
-    case KalmanKernel::kFixed:
-      return true;
-    case KalmanKernel::kAuto:
-      return HasFixedKernel(model.state_dim());
-  }
-  return false;
-}
-
-Result<FilterResult> RunFilterKernel(KalmanKernel kernel,
-                                     const StateSpaceModel& model,
-                                     const std::vector<double>& observations,
-                                     const KalmanOptions& options) {
-  return ResolveToFixedKernel(kernel, model)
+Result<FilterResult> DispatchFilter(const StateSpaceModel& model,
+                                    const std::vector<double>& observations,
+                                    const KalmanOptions& options) {
+  return HasFixedKernel(model.state_dim())
              ? RunFilterFixed(model, observations, options)
              : RunFilter(model, observations, options);
 }
 
-Result<RegressionFilterResult> RunFilterWithRegressionKernel(
-    KalmanKernel kernel, const StateSpaceModel& model,
-    const std::vector<double>& observations,
+Result<RegressionFilterResult> DispatchFilterWithRegression(
+    const StateSpaceModel& model, const std::vector<double>& observations,
     const std::vector<double>& regressor, const KalmanOptions& options) {
-  return ResolveToFixedKernel(kernel, model)
+  return HasFixedKernel(model.state_dim())
              ? RunFilterWithRegressionFixed(model, observations, regressor,
                                             options)
              : RunFilterWithRegression(model, observations, regressor,
                                        options);
 }
 
-Result<MultiRegressionFilterResult> RunFilterWithRegressorsKernel(
-    KalmanKernel kernel, const StateSpaceModel& model,
-    const std::vector<double>& observations,
+Result<MultiRegressionFilterResult> DispatchFilterWithRegressors(
+    const StateSpaceModel& model, const std::vector<double>& observations,
     const std::vector<std::vector<double>>& regressors,
     const KalmanOptions& options) {
-  return ResolveToFixedKernel(kernel, model)
+  return HasFixedKernel(model.state_dim())
              ? RunFilterWithRegressorsFixed(model, observations, regressors,
                                             options)
              : RunFilterWithRegressors(model, observations, regressors,

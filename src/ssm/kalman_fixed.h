@@ -20,11 +20,12 @@
 //   - every input is finite (a fit caps its log-variances at +-50), so
 //     no dropped term is inf * 0 = NaN.
 //
-// Selection happens through KalmanKernel (kalman.h): the Run*Kernel
-// dispatchers below resolve kAuto to the fixed path whenever the
-// model's state dimension has a compiled kernel and fall back to the
-// dynamic path otherwise; kFixed demands a compiled kernel and fails
-// loudly when the dimension has none.
+// The state dimension alone picks the kernel: the Dispatch* entry
+// points below, which every fit calls, run the fixed path whenever the
+// model's dimension has a compiled kernel and the dynamic path
+// otherwise. The Run*Fixed functions fail loudly on a dimension with no
+// kernel; the dynamic Run* functions in kalman.h stay the reference the
+// bit-exactness tests compare against.
 
 #ifndef MICTREND_SSM_KALMAN_FIXED_H_
 #define MICTREND_SSM_KALMAN_FIXED_H_
@@ -58,25 +59,19 @@ Result<MultiRegressionFilterResult> RunFilterWithRegressorsFixed(
     const std::vector<std::vector<double>>& regressors,
     const KalmanOptions& options = {});
 
-/// Resolves a kernel choice for one model: kAuto picks the fixed path
-/// exactly when HasFixedKernel(model.state_dim()).
-bool ResolveToFixedKernel(KalmanKernel kernel, const StateSpaceModel& model);
+/// Kernel-dispatching entry points: the Run*Fixed twin when
+/// HasFixedKernel(model.state_dim()), the dynamic Run* otherwise
+/// (bit-identical either way).
+Result<FilterResult> DispatchFilter(const StateSpaceModel& model,
+                                    const std::vector<double>& observations,
+                                    const KalmanOptions& options = {});
 
-/// Kernel-dispatching entry points: run the fixed or dynamic filter
-/// according to `kernel` (bit-identical either way).
-Result<FilterResult> RunFilterKernel(KalmanKernel kernel,
-                                     const StateSpaceModel& model,
-                                     const std::vector<double>& observations,
-                                     const KalmanOptions& options = {});
-
-Result<RegressionFilterResult> RunFilterWithRegressionKernel(
-    KalmanKernel kernel, const StateSpaceModel& model,
-    const std::vector<double>& observations,
+Result<RegressionFilterResult> DispatchFilterWithRegression(
+    const StateSpaceModel& model, const std::vector<double>& observations,
     const std::vector<double>& regressor, const KalmanOptions& options = {});
 
-Result<MultiRegressionFilterResult> RunFilterWithRegressorsKernel(
-    KalmanKernel kernel, const StateSpaceModel& model,
-    const std::vector<double>& observations,
+Result<MultiRegressionFilterResult> DispatchFilterWithRegressors(
+    const StateSpaceModel& model, const std::vector<double>& observations,
     const std::vector<std::vector<double>>& regressors,
     const KalmanOptions& options = {});
 

@@ -4,7 +4,7 @@
 // last bit — likelihoods, per-step series, and final state/covariance —
 // including under missing observations and the steady-state shortcut,
 // on the structural models and on a general dense transition. Also
-// covers the KalmanKernel dispatch surface and FitOptions validation.
+// covers the dimension dispatch and FitOptions validation.
 
 #include "ssm/kalman_fixed.h"
 
@@ -319,35 +319,36 @@ TEST(KalmanFixedTest, MultiRegressorBitExactAcrossDims) {
   }
 }
 
-TEST(KalmanFixedTest, KernelDispatchResolvesAndAgrees) {
+TEST(KalmanFixedTest, DispatchPicksTheKernelFromTheStateDimension) {
+  // A dimension with a compiled kernel dispatches to it.
   const StateSpaceModel supported = ModelForDim(12);
-  EXPECT_TRUE(ResolveToFixedKernel(KalmanKernel::kAuto, supported));
-  EXPECT_TRUE(ResolveToFixedKernel(KalmanKernel::kFixed, supported));
-  EXPECT_FALSE(ResolveToFixedKernel(KalmanKernel::kDynamic, supported));
+  const auto series = MakeSeries(43, 71);
+  auto dispatched = DispatchFilter(supported, series);
+  auto fixed = RunFilterFixed(supported, series);
+  auto dynamic = RunFilter(supported, series);
+  ASSERT_TRUE(dispatched.ok() && fixed.ok() && dynamic.ok());
+  ExpectSameFilterResult(*dispatched, *fixed);
+  ExpectSameFilterResult(*dispatched, *dynamic);
 
   // A 3-state model (level + one trig harmonic + Nyquist) has no
-  // compiled kernel; kAuto must fall back to dynamic.
+  // compiled kernel: dispatch falls back to the dynamic path, while the
+  // fixed path fails loudly instead of silently falling back.
   StructuralSpec odd = SpecForDim(5);
   odd.harmonics = 1;
   auto odd_model = BuildStructuralModel(odd, StructuralVariances{});
   ASSERT_TRUE(odd_model.ok()) << odd_model.status();
   ASSERT_FALSE(HasFixedKernel(odd_model->state_dim()));
-  EXPECT_FALSE(ResolveToFixedKernel(KalmanKernel::kAuto, *odd_model));
-
-  const auto series = MakeSeries(43, 71);
-  auto via_auto = RunFilterKernel(KalmanKernel::kAuto, supported, series);
-  auto via_fixed = RunFilterKernel(KalmanKernel::kFixed, supported, series);
-  auto via_dynamic =
-      RunFilterKernel(KalmanKernel::kDynamic, supported, series);
-  ASSERT_TRUE(via_auto.ok() && via_fixed.ok() && via_dynamic.ok());
-  ExpectSameFilterResult(*via_auto, *via_fixed);
-  ExpectSameFilterResult(*via_auto, *via_dynamic);
-
-  // kFixed on an unsupported dimension fails loudly instead of
-  // silently falling back.
+  auto odd_dispatched = DispatchFilter(*odd_model, series);
+  auto odd_dynamic = RunFilter(*odd_model, series);
+  ASSERT_TRUE(odd_dispatched.ok() && odd_dynamic.ok());
+  ExpectSameFilterResult(*odd_dispatched, *odd_dynamic);
   auto rejected = RunFilterFixed(*odd_model, series);
   EXPECT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+
+  // A fit on that spec runs on the dynamic path.
+  auto fitted = FitStructuralModel(MakeSeries(43, 101), odd);
+  EXPECT_TRUE(fitted.ok()) << fitted.status();
 }
 
 TEST(KalmanFixedTest, FitOptionsValidateReportsFieldPaths) {
@@ -374,66 +375,6 @@ TEST(KalmanFixedTest, FitOptionsValidateReportsFieldPaths) {
   options.optimizer.initial_step = -0.5;
   EXPECT_NE(options.Validate().message().find("fit.optimizer.initial_step"),
             std::string::npos);
-}
-
-TEST(KalmanFixedTest, FitKernelChoiceIsBitExact) {
-  // End to end through the optimizer: the kernel choice must not move a
-  // single bit of the fitted model, for both the paper's dim-12 model
-  // and the non-seasonal dim-1 model, with and without an intervention.
-  for (int dim : {1, 12}) {
-    StructuralSpec spec = SpecForDim(dim);
-    spec.set_change_point(20);
-    const auto series = MakeSeries(43, 97 + dim);
-    FitOptions fixed_options;
-    fixed_options.kernel = KalmanKernel::kFixed;
-    fixed_options.optimizer.max_evaluations = 120;
-    FitOptions dynamic_options = fixed_options;
-    dynamic_options.kernel = KalmanKernel::kDynamic;
-    FitOptions auto_options = fixed_options;
-    auto_options.kernel = KalmanKernel::kAuto;
-
-    auto fixed = FitStructuralModel(series, spec, fixed_options);
-    auto dynamic = FitStructuralModel(series, spec, dynamic_options);
-    auto automatic = FitStructuralModel(series, spec, auto_options);
-    ASSERT_TRUE(fixed.ok()) << fixed.status();
-    ASSERT_TRUE(dynamic.ok()) << dynamic.status();
-    ASSERT_TRUE(automatic.ok()) << automatic.status();
-    for (const auto* other : {&*dynamic, &*automatic}) {
-      ExpectSameBits(fixed->log_likelihood, other->log_likelihood,
-                     "fit log_likelihood");
-      ExpectSameBits(fixed->aic, other->aic, "fit aic");
-      ExpectSameBits(fixed->lambda, other->lambda, "fit lambda");
-      ExpectSameBits(fixed->variances.observation,
-                     other->variances.observation, "fit observation var");
-      ExpectSameBits(fixed->variances.level, other->variances.level,
-                     "fit level var");
-      EXPECT_EQ(fixed->optimizer_evaluations, other->optimizer_evaluations);
-      EXPECT_EQ(fixed->kalman_passes, other->kalman_passes);
-    }
-  }
-}
-
-TEST(KalmanFixedTest, FitRejectsFixedKernelOnUnsupportedDimension) {
-  StructuralSpec odd = SpecForDim(5);
-  odd.harmonics = 1;  // 3 states: no compiled kernel.
-  FitOptions options;
-  options.kernel = KalmanKernel::kFixed;
-  auto fitted = FitStructuralModel(MakeSeries(43, 101), odd, options);
-  ASSERT_FALSE(fitted.ok());
-  EXPECT_EQ(fitted.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(fitted.status().message().find("fit.kernel"),
-            std::string::npos);
-
-  // kAuto on the same spec silently uses the dynamic path.
-  options.kernel = KalmanKernel::kAuto;
-  auto fallback = FitStructuralModel(MakeSeries(43, 101), odd, options);
-  EXPECT_TRUE(fallback.ok()) << fallback.status();
-}
-
-TEST(KalmanFixedTest, KernelNamesAreStable) {
-  EXPECT_EQ(KalmanKernelName(KalmanKernel::kAuto), "auto");
-  EXPECT_EQ(KalmanKernelName(KalmanKernel::kDynamic), "dynamic");
-  EXPECT_EQ(KalmanKernelName(KalmanKernel::kFixed), "fixed");
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "medmodel/medication_model.h"
-#include "runtime/task_seed.h"
 #include "synth/generator.h"
 #include "synth/scenario.h"
 #include "trend/pipeline.h"
@@ -159,34 +158,6 @@ TEST(ThreadPoolTest, RecordsStageStats) {
             std::string::npos);
   pool.ResetStats();
   EXPECT_TRUE(pool.stats().stages.empty());
-}
-
-TEST(TaskSeedTest, SplitIsDeterministicAndDecorrelated) {
-  EXPECT_EQ(SplitTaskSeed(42, 7), SplitTaskSeed(42, 7));
-  EXPECT_NE(SplitTaskSeed(42, 7), SplitTaskSeed(42, 8));
-  EXPECT_NE(SplitTaskSeed(42, 7), SplitTaskSeed(43, 7));
-
-  // Streams from adjacent task indices must not collide.
-  Rng a = MakeTaskRng(42, 0);
-  Rng b = MakeTaskRng(42, 1);
-  EXPECT_NE(a.NextUint64(), b.NextUint64());
-}
-
-TEST(TaskSeedTest, SeededParallelForIsThreadCountInvariant) {
-  constexpr std::size_t kTasks = 64;
-  auto draw_all = [](int threads) {
-    ThreadPool pool(threads);
-    std::vector<std::uint64_t> draws(kTasks);
-    Status status = ParallelForSeeded(
-        &pool, 0, kTasks, 1, /*base_seed=*/20190411,
-        [&draws](std::size_t, std::size_t, std::size_t index, Rng& rng) {
-          draws[index] = rng.NextUint64();
-          return Status::OK();
-        });
-    EXPECT_TRUE(status.ok());
-    return draws;
-  };
-  EXPECT_EQ(draw_all(1), draw_all(8));
 }
 
 // The tentpole determinism contract, end to end: EM log-likelihood and

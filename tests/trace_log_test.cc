@@ -263,74 +263,5 @@ TEST(TraceLogPipelineTest, FourThreadTimelineIsWellFormedAndCountersMatch) {
       << "candidate sweep chunk events missing";
 }
 
-TEST(TraceLogTest, RetainSinceCopiesTheEventsRecordedAfterTheMark) {
-  TraceLog trace;
-  trace.BeginEvent("warmup");
-  trace.EndEvent("warmup");
-
-  const std::uint64_t mark = trace.ThreadMark();
-  trace.BeginEvent("req/r1/serve/report_csv");
-  trace.EndEvent("req/r1/serve/report_csv");
-  trace.RetainSince(mark, "r1");
-
-  ASSERT_EQ(trace.retained_count(), 1u);
-  const std::vector<RetainedTrace> retained = trace.RetainedSnapshot();
-  EXPECT_EQ(retained[0].label, "r1");
-  ASSERT_EQ(retained[0].events.size(), 2u);
-  EXPECT_EQ(retained[0].events[0].name, "req/r1/serve/report_csv");
-  EXPECT_EQ(retained[0].events[0].phase, TraceEvent::Phase::kBegin);
-  EXPECT_EQ(retained[0].events[1].phase, TraceEvent::Phase::kEnd);
-}
-
-// Retention is what makes tail sampling useful on a saturated ring:
-// the retained copy survives arbitrarily many later wraps.
-TEST(TraceLogTest, RetainedEventsSurviveRingWrap) {
-  TraceLog trace(/*capacity_per_thread=*/8);
-  const std::uint64_t mark = trace.ThreadMark();
-  trace.BeginEvent("req/slow");
-  trace.EndEvent("req/slow");
-  trace.RetainSince(mark, "slow");
-
-  for (int i = 0; i < 64; ++i) {
-    trace.BeginEvent("req/fast");
-    trace.EndEvent("req/fast");
-  }
-  EXPECT_GT(trace.dropped_count(), 0u);
-
-  const std::vector<RetainedTrace> retained = trace.RetainedSnapshot();
-  ASSERT_EQ(retained.size(), 1u);
-  EXPECT_EQ(retained[0].events[0].name, "req/slow");
-}
-
-TEST(TraceLogTest, RetainedGroupsAreBoundedOldestFirstEviction) {
-  TraceLog trace;
-  for (std::size_t i = 0; i < TraceLog::kRetainedGroupCap + 5; ++i) {
-    const std::uint64_t mark = trace.ThreadMark();
-    trace.BeginEvent("req/" + std::to_string(i));
-    trace.EndEvent("req/" + std::to_string(i));
-    trace.RetainSince(mark, "g" + std::to_string(i));
-  }
-  const std::vector<RetainedTrace> retained = trace.RetainedSnapshot();
-  ASSERT_EQ(retained.size(), TraceLog::kRetainedGroupCap);
-  EXPECT_EQ(retained.front().label, "g5");
-  EXPECT_EQ(retained.back().label,
-            "g" + std::to_string(TraceLog::kRetainedGroupCap + 4));
-}
-
-// A mark taken before events the ring has already recycled clamps to
-// the surviving window instead of reading stale storage.
-TEST(TraceLogTest, RetainSinceClampsToTheSurvivingWindow) {
-  TraceLog trace(/*capacity_per_thread=*/4);
-  const std::uint64_t mark = trace.ThreadMark();
-  for (int i = 0; i < 10; ++i) {
-    trace.BeginEvent("e" + std::to_string(i));
-  }
-  trace.RetainSince(mark, "clamped");
-  const std::vector<RetainedTrace> retained = trace.RetainedSnapshot();
-  ASSERT_EQ(retained.size(), 1u);
-  ASSERT_EQ(retained[0].events.size(), 4u);
-  EXPECT_EQ(retained[0].events.back().name, "e9");
-}
-
 }  // namespace
 }  // namespace mic::obs

@@ -80,20 +80,29 @@ TEST(WindowTest, RingReusesSlotsPastTheHorizon) {
   EXPECT_DOUBLE_EQ(stats.p50, 0.005);
 }
 
-TEST(WindowTest, AddCountFeedsRatesWithoutSkewingQuantiles) {
-  std::atomic<std::uint64_t> now{0};
+TEST(WindowTest, TotalsSurviveSlotTurnoverAndAFullRingWrap) {
+  std::atomic<std::uint64_t> now{0};  // epoch 0
   WindowRegistry windows(TinyOptions(),
                          [&now] { return now.load(); });
-  WindowedChannel* channel = windows.channel("obs.trace.dropped");
-  channel->AddCount(40);
-  channel->AddCount(2);
+  WindowedChannel* channel = windows.channel("serve.series");
+  channel->Record(0.002);
+  channel->Record(0.25, /*error=*/true);
 
-  const WindowStats stats = channel->Aggregate(2 * kSecond);
-  EXPECT_EQ(stats.count, 42u);
-  EXPECT_DOUBLE_EQ(stats.rps, 21.0);
-  EXPECT_DOUBLE_EQ(stats.p50, 0.0) << "count-only deltas must not land "
-                                      "in the value histogram";
-  EXPECT_DOUBLE_EQ(stats.mean, 0.0);
+  // Epoch 5 reuses epoch 0's slot: the turnover clears the window but
+  // not the totals.
+  now.store(5 * kSecond);
+  channel->Record(0.5);
+  EXPECT_EQ(channel->Aggregate(5 * kSecond).count, 1u);
+
+  // Past the whole horizon every slot is stale; the totals still hold
+  // all three samples.
+  now.store(20 * kSecond);
+  EXPECT_EQ(channel->Aggregate(5 * kSecond).count, 0u);
+  const ChannelTotals totals = channel->Totals();
+  EXPECT_EQ(totals.requests, 3u);
+  EXPECT_EQ(totals.errors, 1u);
+  EXPECT_EQ(totals.nanos, 752000000u);
+  EXPECT_DOUBLE_EQ(totals.seconds(), 0.752);
 }
 
 TEST(WindowTest, ToJsonIsDeterministicForIdenticalHistories) {
@@ -118,6 +127,12 @@ TEST(WindowTest, ToJsonIsDeterministicForIdenticalHistories) {
   EXPECT_NE(json.find("\"serve.health\":{\"count\":2"),
             std::string::npos);
   EXPECT_NE(json.find("\"serve.report_csv\":{\"count\":1,\"errors\":1"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"totals\":{\"serve.health\":{\"requests\":2,"
+                      "\"errors\":0,\"seconds\":"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"serve.report_csv\":{\"requests\":1,"
+                      "\"errors\":1,\"seconds\":"),
             std::string::npos);
 }
 
@@ -147,17 +162,47 @@ TEST(WindowTest, ConcurrentRecordsAreAllCounted) {
   EXPECT_EQ(stats.errors, static_cast<std::uint64_t>(kThreads) * 10);
 }
 
+// Every Record() reaches the totals, even while the clock advances on
+// each read so that recorders keep racing each other's slot turnovers
+// (and may lose samples from the windows).
+TEST(WindowTest, ConcurrentTotalsAreExactUnderSlotTurnover) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2000;
+  std::atomic<std::uint64_t> now{0};
+  WindowRegistry windows(TinyOptions(), [&now] {
+    return now.fetch_add(kSecond / 8, std::memory_order_relaxed);
+  });
+  WindowedChannel* channel = windows.channel("serve.health");
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([channel] {
+      for (int i = 0; i < kPerThread; ++i) {
+        channel->Record(0.001, /*error=*/i % 100 == 0);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const ChannelTotals totals = channel->Totals();
+  EXPECT_EQ(totals.requests,
+            static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(totals.errors, static_cast<std::uint64_t>(kThreads) * 20);
+  EXPECT_EQ(totals.nanos,
+            static_cast<std::uint64_t>(kThreads) * kPerThread * 1000000);
+}
+
 TEST(OpenMetricsTest, SanitizesNames) {
-  EXPECT_EQ(OpenMetricsName("serve.latency.top-changes"),
-            "mictrend_serve_latency_top_changes");
+  EXPECT_EQ(OpenMetricsName("pipeline/detect/trend-sweep"),
+            "mictrend_pipeline_detect_trend_sweep");
   EXPECT_EQ(OpenMetricsName("cache.hits"), "mictrend_cache_hits");
 }
 
 TEST(OpenMetricsTest, RendersEveryMetricKindWithTypeAndHelp) {
   MetricsRegistry metrics;
-  metrics.counter("serve.requests.health")->Increment(3);
+  metrics.counter("serve.snapshots_published")->Increment(3);
   metrics.gauge("serve.queue_depth")->Set(2.0);
-  Timer* timer = metrics.timer("serve.latency.health");
+  Timer* timer = metrics.timer("pipeline");
   timer->Record(1000000);  // 1 ms
   Histogram* histogram =
       metrics.histogram("serve.frame_bytes", {1.0, 2.0});
@@ -172,18 +217,17 @@ TEST(OpenMetricsTest, RendersEveryMetricKindWithTypeAndHelp) {
 
   const std::string text = RenderOpenMetrics(&metrics, &windows);
   EXPECT_NE(
-      text.find("# TYPE mictrend_serve_requests_health counter\n"
-                "mictrend_serve_requests_health_total 3\n"),
+      text.find("# TYPE mictrend_serve_snapshots_published counter\n"
+                "mictrend_serve_snapshots_published_total 3\n"),
       std::string::npos);
-  EXPECT_NE(text.find("# HELP mictrend_serve_requests_health "
-                      "serve.requests.health\n"),
+  EXPECT_NE(text.find("# HELP mictrend_serve_snapshots_published "
+                      "serve.snapshots_published\n"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE mictrend_serve_queue_depth gauge\n"
                       "mictrend_serve_queue_depth 2\n"),
             std::string::npos);
-  EXPECT_NE(
-      text.find("mictrend_serve_latency_health_calls_total 1\n"),
-      std::string::npos);
+  EXPECT_NE(text.find("mictrend_pipeline_calls_total 1\n"),
+            std::string::npos);
   // Histogram buckets are cumulative and close with +Inf.
   EXPECT_NE(text.find("mictrend_serve_frame_bytes_bucket{le=\"1\"} 1\n"),
             std::string::npos);
@@ -194,6 +238,20 @@ TEST(OpenMetricsTest, RendersEveryMetricKindWithTypeAndHelp) {
       std::string::npos);
   EXPECT_NE(text.find("mictrend_serve_frame_bytes_count 3\n"),
             std::string::npos);
+  // Channel totals are counter families labeled by channel alone.
+  EXPECT_NE(text.find("# TYPE mictrend_channel_requests counter\n"
+                      "mictrend_channel_requests_total{"
+                      "channel=\"serve.health\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("mictrend_channel_errors_total{"
+                      "channel=\"serve.health\"} 0\n"),
+            std::string::npos);
+  const std::string seconds_sample =
+      "mictrend_channel_seconds_total{channel=\"serve.health\"} ";
+  const std::size_t seconds_at = text.find(seconds_sample);
+  ASSERT_NE(seconds_at, std::string::npos);
+  EXPECT_DOUBLE_EQ(
+      std::stod(text.substr(seconds_at + seconds_sample.size())), 0.0009);
   // Windowed families carry channel/window (and quantile) labels.
   EXPECT_NE(text.find("mictrend_window_requests{channel=\"serve.health\","
                       "window=\"2s\"} 1\n"),

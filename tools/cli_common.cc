@@ -135,7 +135,6 @@ std::vector<CommandSpec> BuildCommandTable() {
                                          {"max-pending", "64"},
                                          {"max-frame", "8388608"},
                                          {"access-log", "access.jsonl"},
-                                         {"slow-ms", "500"},
                                          {"swap-stall-ms", "1000"},
                                          {"min-total", "10"},
                                          {"coupling", "0"},

@@ -510,9 +510,8 @@ int RunDrilldown(const Flags& flags) {
 int RunServe(const Flags& flags) {
   // force_metrics: the daemon's `metrics` endpoint and the cache.*
   // warm-start counters need a registry whether or not this run also
-  // exports --metrics-out at exit. force_trace: request-scoped spans
-  // and tail-based slow-request retention need the ring regardless of
-  // --trace-out.
+  // exports --metrics-out at exit. force_trace: the daemon records
+  // request-scoped spans whether or not --trace-out exports them.
   auto run = CliRun::FromFlags(flags, /*with_pool=*/true,
                                /*force_metrics=*/true,
                                /*force_trace=*/true);
@@ -545,9 +544,6 @@ int RunServe(const Flags& flags) {
   }
   options.limits.max_frame_bytes = static_cast<std::size_t>(*max_frame);
   options.access_log_path = flags.GetString("access-log");
-  auto slow_ms = flags.GetInt("slow-ms", 500);
-  if (!slow_ms.ok()) return Fail(slow_ms.status());
-  options.slow_request_threshold_ms = static_cast<int>(*slow_ms);
   auto stall_ms = flags.GetInt("swap-stall-ms", 1000);
   if (!stall_ms.ok()) return Fail(stall_ms.status());
   options.swap_stall_deadline_ms = static_cast<int>(*stall_ms);
